@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dp_core import solve_full
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, TwocstError
 from .instance import WeightedInstance, load_instance, new_instance
 from .oracle import brute_force_optimal
 from .pruned import SolveStats, solve_bounded_const, solve_bounded_log, solve_pruned
@@ -65,6 +65,8 @@ def _run_algorithm(
         stats = SolveStats(
             subproblems_evaluated=table.cells_computed,
             cutpoints_scanned=table.cuts_scanned,
+            eq_prunes=table.eq_prunes,
+            lt_prunes=table.lt_prunes,
         )
     elif algorithm == "pruned":
         best, tree, stats = solve_pruned(inst)
@@ -254,7 +256,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                             "",
                         )
                     )
-                except PreconditionError as exc:
+                except TwocstError as exc:
                     writer.writerow(
                         (label, algorithm, inst.n, inst.scale, "", "", "", "", "", "", "", "", str(exc))
                     )

@@ -10,17 +10,31 @@ that rank among the h lightest overall.  With p the key of rank h:
   S = min over cuts l of C[h][i][l] + C[h][l+1][j] ranges over the cuts
   leaving member keys on both sides.
 
+Every cell is computed, but the threshold rules of Anderson, Kannan,
+Karloff & Ladner decide most of them without a full cut scan:
+
+* equality rule: if p holds at least 3/7 of the member weight
+  (7·w_p >= 3·w), an equality test on p heads an optimal tree, so
+  C = w + C[h-1][i][j] and no cut is scanned;
+* quarter range: every optimal cut leaves at least a quarter of w on
+  each side, so S is taken over those cuts only, found by two bisections
+  of the level's monotone prefix-weight row; if p holds under a quarter
+  (4·w_p < w) a cut heads an optimal tree and C = w + S.
+
 Levels share unchanged rows with their predecessor, so the table costs
-one fresh row per (level, row-touched) pair instead of a full cube.
+one fresh row per (level, row-touched) pair instead of a full cube.  The
+fill reads columns through one in-place mirror cols[j][r] = C[h][r][j]
+of the level being filled, updated whenever a cell is set.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import add
 
-from .errors import MemoryBudgetError, PreconditionError
+from .errors import MemoryBudgetError, PreconditionError, TwocstError
 from .instance import SubproblemId, WeightedInstance
 from .tree import EqNode, Leaf, LtNode, Node
 
@@ -38,13 +52,21 @@ class MinimizerReport:
 
 
 class DpTable:
-    """Dense per-level cost tables plus reconstruction helpers."""
+    """Dense per-level cost tables plus reconstruction helpers.
+
+    Fill counters: ``cells_computed`` cells with at least two member
+    keys, ``cuts_scanned`` quarter-range cuts examined, ``eq_prunes``
+    cells settled by the 3/7 equality rule, ``lt_prunes`` cells whose
+    key under 1/4 of the member weight took the cut term outright.
+    """
 
     def __init__(self, inst: WeightedInstance):
         self.inst = inst
         self.levels: list[list[list[int]]] = []
         self.cells_computed = 0
         self.cuts_scanned = 0
+        self.eq_prunes = 0
+        self.lt_prunes = 0
 
     def cost_at(self, sid: tuple[int, int, int]) -> int:
         i, j, h = sid
@@ -61,25 +83,31 @@ class DpTable:
             h -= 1
         return h
 
-    def _split_scan(self, i: int, j: int, h: int) -> tuple[int, list[int], int, int]:
-        """(split_cost, all minimizers, mn, mx) over the standard range."""
+    def _split_scan(self, i: int, j: int, h: int, inner: bool = False) -> tuple[int, list[int]]:
+        """(split_cost, all minimizers) over the standard cut range, or
+        with ``inner=True`` over its part inside [i+1, j-2]."""
         inst = self.inst
         mn = inst.first_member(i, j, h)
         mx = inst.last_member(i, j, h)
         if mn is None or mn == mx:
             raise PreconditionError(f"no valid cut: fewer than two keys in {(i, j, h)}")
+        lo, hi = mn, mx - 1
+        if inner:
+            lo, hi = max(lo, i + 1), min(hi, j - 2)
+            if lo > hi:
+                raise PreconditionError(f"no valid cut in inner range for {(i, j, h)}")
         lvl = self.levels[h]
         row = lvl[i]
         best = None
         mins: list[int] = []
-        for l in range(mn, mx):
+        for l in range(lo, hi + 1):
             v = row[l] + lvl[l + 1][j]
             if best is None or v < best:
                 best = v
                 mins = [l]
             elif v == best:
                 mins.append(l)
-        return best, mins, mn, mx
+        return best, mins
 
     def minimizers_at(self, sid: tuple[int, int, int], inner: bool = False) -> MinimizerReport:
         """Optimal cuts for the split term of a subproblem.
@@ -89,29 +117,7 @@ class DpTable:
         single boundary position are excluded.
         """
         i, j, h = sid
-        if not inner:
-            best, mins, _, _ = self._split_scan(i, j, h)
-            return MinimizerReport(SubproblemId(i, j, h), tuple(mins), mins[0], best)
-        inst = self.inst
-        mn = inst.first_member(i, j, h)
-        mx = inst.last_member(i, j, h)
-        if mn is None or mn == mx:
-            raise PreconditionError(f"no valid cut: fewer than two keys in {(i, j, h)}")
-        lo = max(mn, i + 1)
-        hi = min(mx - 1, j - 2)
-        if lo > hi:
-            raise PreconditionError(f"no valid cut in inner range for {(i, j, h)}")
-        lvl = self.levels[h]
-        row = lvl[i]
-        best = None
-        mins = []
-        for l in range(lo, hi + 1):
-            v = row[l] + lvl[l + 1][j]
-            if best is None or v < best:
-                best = v
-                mins = [l]
-            elif v == best:
-                mins.append(l)
+        best, mins = self._split_scan(i, j, h, inner)
         return MinimizerReport(SubproblemId(i, j, h), tuple(mins), mins[0], best)
 
     def choice_at(self, sid: tuple[int, int, int]) -> tuple[str, int | None]:
@@ -126,7 +132,7 @@ class DpTable:
         if m == 1:
             return ("leaf", inst.first_member(i, j, h))
         eq_rest = self.levels[h - 1][i][j]
-        split, mins, _, _ = self._split_scan(i, j, h)
+        split, mins = self._split_scan(i, j, h)
         if eq_rest <= split:
             return ("eq", inst.asc_perm[h - 1])
         return ("split", mins[0])
@@ -159,7 +165,7 @@ class DpTable:
                 vals.append(Leaf(inst.first_member(i, j, h)))
                 continue
             eq_rest = self.levels[h - 1][i][j]
-            split, mins, _, _ = self._split_scan(i, j, h)
+            split, mins = self._split_scan(i, j, h)
             if eq_rest <= split:
                 stack.append(("make_eq", inst.asc_perm[h - 1]))
                 stack.append(("go", i, j, h - 1))
@@ -180,7 +186,7 @@ def _check_budget(n: int) -> None:
     except ValueError:
         raise PreconditionError(f"{MEM_LIMIT_ENV} must be an integer, got {raw!r}")
     fresh_rows = n * (n + 1) // 2 + n + 1
-    est = fresh_rows * ((n + 1) * 8 + 64)
+    est = fresh_rows * ((n + 1) * 8 + 64) + (n + 1) * ((n + 2) * 8 + 64)
     if est > limit_mb * (1 << 20):
         raise MemoryBudgetError(
             f"n={n} needs about {est // (1 << 20) + 1} MB of tables, over the "
@@ -195,30 +201,22 @@ def solve_full(inst: WeightedInstance) -> tuple[DpTable, int, Node]:
     _check_budget(n)
     table = DpTable(inst)
     asc = inst.asc_perm
-    rank = [inst.rank_of_key(k) for k in range(n + 1)]
     pw, pc = inst._prefix
     zrow = [0] * (n + 1)
     prev = [zrow] * (n + 1)
     table.levels.append(prev)
-    cells = 0
-    cuts = 0
+    # cols[j][r] == C[h][r][j] for the level h being filled: when cell
+    # (i, j) reads it, rows i+1..p are final at h and rows past p hold
+    # their value from an earlier level, which h does not change
+    cols = [[0] * (n + 2) for _ in range(n + 1)]
+    cells = cuts = eq_prunes = lt_prunes = 0
     for h in range(1, n + 1):
         p = asc[h - 1]
+        wp = inst.weight_of(p)
+        wp7 = 7 * wp
+        wp4 = 4 * wp
         pw_h = pw[h]
         pc_h = pc[h]
-        # nxt[k]: first member >= k at this level; prv[k]: last member <= k
-        nxt = [0] * (n + 2)
-        run = n + 1
-        for k in range(n, 0, -1):
-            if rank[k] <= h:
-                run = k
-            nxt[k] = run
-        prv = [0] * (n + 1)
-        run = 0
-        for k in range(1, n + 1):
-            if rank[k] <= h:
-                run = k
-            prv[k] = run
         cur = list(prev)
         for i in range(p, 0, -1):
             row = prev[i][:]
@@ -229,18 +227,36 @@ def solve_full(inst: WeightedInstance) -> tuple[DpTable, int, Node]:
             for j in range(max(p, i + 1), n + 1):
                 if pc_h[j] - pc_i < 2:
                     continue
-                mn = nxt[i]
-                mx = prv[j]
-                col = [r[j] for r in cur[mn + 1 : mx + 1]]
-                split = min(map(add, row[mn:mx], col))
                 cells += 1
-                cuts += mx - mn
-                eq_rest = prev_row[j]
-                row[j] = pw_h[j] - pw_i + (eq_rest if eq_rest <= split else split)
+                pw_j = pw_h[j]
+                w = pw_j - pw_i
+                if wp7 >= 3 * w:
+                    eq_prunes += 1
+                    v = w + prev_row[j]
+                else:
+                    q = (w + 3) // 4
+                    lo = bisect_left(pw_h, pw_i + q, i, j)
+                    hi = bisect_right(pw_h, pw_j - q, i, j)
+                    if lo >= hi:
+                        # only a member above half of w empties the range,
+                        # and such a member meets the 3/7 rule
+                        raise TwocstError(f"empty quarter range below the 3/7 threshold at {(i, j, h)}")
+                    cuts += hi - lo
+                    split = min(map(add, row[lo:hi], cols[j][lo + 1 : hi + 1]))
+                    if wp4 < w:
+                        lt_prunes += 1
+                        v = w + split
+                    else:
+                        eq_rest = prev_row[j]
+                        v = w + (eq_rest if eq_rest <= split else split)
+                row[j] = v
+                cols[j][i] = v
         table.levels.append(cur)
         prev = cur
     table.cells_computed = cells
     table.cuts_scanned = cuts
+    table.eq_prunes = eq_prunes
+    table.lt_prunes = lt_prunes
     best = table.levels[n][1][n] if n >= 1 else 0
     tree = table.reconstruct((1, n, n))
     return table, best, tree

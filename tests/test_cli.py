@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from twocst import from_json, new_instance, pattern_instance, validate
+from twocst import TwocstError, from_json, hard_instance, new_instance, pattern_instance, validate
 from twocst.cli import main
 
 
@@ -54,7 +54,22 @@ class TestSolve:
         path.write_text(" ".join(map(str, inst.weights)) + "\n")
         code, out, _ = run(capsys, "solve", str(path), "full")
         assert code == 0
-        assert fields(out)["cost"] == "216"
+        got = fields(out)
+        assert got["cost"] == "216"
+        assert int(got["eq_prunes"]) > 0
+        assert int(got["lt_prunes"]) > 0
+
+    def test_hard_full_reports_prunes(self, capsys, tmp_path):
+        # the hard family keeps every heaviest key at or above a quarter,
+        # so only the 3/7 equality rule fires in the full DP
+        path = tmp_path / "h.txt"
+        path.write_text(" ".join(map(str, hard_instance(28).weights)) + "\n")
+        code, out, _ = run(capsys, "solve", str(path), "full")
+        assert code == 0
+        got = fields(out)
+        assert int(got["cutpoints"]) == 5790
+        assert int(got["eq_prunes"]) == 3104
+        assert int(got["lt_prunes"]) == 0
 
     def test_three_way_baselines(self, capsys, fig1):
         code, out, _ = run(capsys, "solve", fig1, "3wcst")
@@ -204,6 +219,25 @@ class TestBench:
         assert rows[0]["algorithm"] == "bounded-const"
         assert rows[0]["error"] != ""
         assert rows[1]["cost"] == "13"
+
+    def test_solver_error_fills_error_cell(self, capsys, monkeypatch):
+        def fail(_inst):
+            raise TwocstError("hole-depth bound exceeded")
+
+        monkeypatch.setattr("twocst.cli.solve_pruned", fail)
+        code, out, _ = run(
+            capsys, "bench", "--hard", "14,21", "--alg", "pruned,full"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["instance"], r["algorithm"]) for r in rows] == [
+            ("hard-n14", "pruned"),
+            ("hard-n14", "full"),
+            ("hard-n21", "pruned"),
+            ("hard-n21", "full"),
+        ]
+        assert [r["error"] for r in rows] == ["hole-depth bound exceeded", "", "hole-depth bound exceeded", ""]
+        assert rows[1]["cost"] != "" and rows[3]["cost"] != ""
 
     def test_unknown_algorithm(self, capsys):
         code, _, _ = run(capsys, "bench", "--weights", "1,2", "--alg", "fast")

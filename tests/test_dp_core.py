@@ -1,5 +1,7 @@
 """The full cubic-ish dynamic program over rank-layered subproblems."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from twocst import (
     MemoryBudgetError,
     cost,
+    hard_instance,
     new_instance,
     root_split_costs,
     solve_full,
@@ -14,6 +17,7 @@ from twocst import (
 )
 from twocst.dp_core import MEM_LIMIT_ENV
 from twocst.errors import PreconditionError
+from twocst.pruned import refined_interval
 
 WEIGHTS = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=11)
 
@@ -147,3 +151,77 @@ def test_counters_monotone_in_n():
     table_big, _, _ = solve_full(new_instance([1] * 12))
     assert table_big.cells_computed > table_small.cells_computed
     assert table_big.cuts_scanned > table_small.cuts_scanned
+
+
+def reference_levels(inst):
+    """Unpruned fill: every cell scans every cut leaving member keys on
+    both sides, and takes min(equality, best cut) with no threshold rule."""
+    n = inst.n
+    levels = [[[0] * (n + 1) for _ in range(n + 1)]]
+    for h in range(1, n + 1):
+        p = inst.key_of_rank(h)
+        prev = levels[-1]
+        cur = [row[:] for row in prev]
+        for i in range(p, 0, -1):
+            for j in range(max(p, i + 1), n + 1):
+                if inst.sub_count(i, j, h) < 2:
+                    continue
+                mn = inst.first_member(i, j, h)
+                mx = inst.last_member(i, j, h)
+                split = min(cur[i][l] + cur[l + 1][j] for l in range(mn, mx))
+                cur[i][j] = inst.sub_weight(i, j, h) + min(prev[i][j], split)
+        levels.append(cur)
+    return levels
+
+
+def _seeded_weights():
+    rng = random.Random(20021)
+    out = []
+    for n in (12, 25, 40):
+        out.append([rng.randint(0, 9) for _ in range(n)])
+        out.append([rng.randint(1, 3) for _ in range(n)])
+        geo = [2**e for e in range(n)]
+        rng.shuffle(geo)
+        out.append(geo)
+    return out
+
+
+class TestPrunedFill:
+    @given(WEIGHTS)
+    @settings(max_examples=200)
+    def test_levels_equal_unpruned_fill(self, ws):
+        inst = new_instance(ws)
+        table, _best, _tree = solve_full(inst)
+        assert table.levels == reference_levels(inst)
+
+    @pytest.mark.parametrize("ws", _seeded_weights())
+    def test_levels_equal_unpruned_fill_seeded(self, ws):
+        inst = new_instance(ws)
+        table, best, _tree = solve_full(inst)
+        ref = reference_levels(inst)
+        assert table.levels == ref
+        assert best == ref[inst.n][1][inst.n]
+
+    def test_hard_counters_match_quarter_ranges(self):
+        inst = hard_instance(56)
+        table, _best, _tree = solve_full(inst)
+        assert table.cells_computed == 29260
+        assert table.cuts_scanned == 111605
+        n = inst.n
+        cells = heavy = widths = 0
+        for h in range(1, n + 1):
+            p = inst.key_of_rank(h)
+            wp = inst.weight_of(p)
+            for i in range(1, p + 1):
+                for j in range(p, n + 1):
+                    if inst.sub_count(i, j, h) < 2:
+                        continue
+                    cells += 1
+                    w = inst.sub_weight(i, j, h)
+                    if 7 * wp >= 3 * w:
+                        heavy += 1
+                    else:
+                        widths += refined_interval(inst, (i, j, h)).width()
+        assert cells == table.cells_computed
+        assert widths == table.cuts_scanned
+        assert heavy == table.eq_prunes > 0
