@@ -9,7 +9,8 @@ All numeric output is exact: integer costs of the scaled instance
 plus the scale factor, never floats (wall times excepted).
 
 Exit codes: 0 success, 1 verification failures, 2 malformed input or
-usage, 3 violated precondition (including the memory budget).
+usage, 3 violated precondition (including the memory budget) or any
+other solver error.
 """
 
 from __future__ import annotations
@@ -314,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact solvers and a verification lab for optimal "
         "two-way comparison search trees.",
         epilog="Exit codes: 0 ok, 1 verification failures, 2 bad input, "
-        "3 violated precondition. Set TWOCST_MEM_LIMIT_MB to cap the "
-        "full table's memory estimate.",
+        "3 violated precondition or other solver error. Set "
+        "TWOCST_MEM_LIMIT_MB to cap the full table's memory estimate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -379,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
+    except TwocstError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -36,7 +36,7 @@ from operator import add
 
 from .errors import MemoryBudgetError, PreconditionError, TwocstError
 from .instance import SubproblemId, WeightedInstance
-from .tree import EqNode, Leaf, LtNode, Node
+from .tree import Node, build_tree
 
 MEM_LIMIT_ENV = "TWOCST_MEM_LIMIT_MB"
 
@@ -120,9 +120,11 @@ class DpTable:
         best, mins = self._split_scan(i, j, h, inner)
         return MinimizerReport(SubproblemId(i, j, h), tuple(mins), mins[0], best)
 
-    def choice_at(self, sid: tuple[int, int, int]) -> tuple[str, int | None]:
-        """What an optimal tree does first here: ('leaf', key),
-        ('eq', key) or ('split', cut)."""
+    def step(self, sid: tuple[int, int, int]) -> tuple:
+        """What an optimal tree does first here, as a ``build_tree``
+        step: ('leaf', key), ('eq', key, rest) or ('split', cut, left,
+        right).  Equality wins ties and cut ties resolve leftmost, so
+        reconstruction is deterministic."""
         i, j, h = sid
         inst = self.inst
         h = self._canonical_h(i, j, h)
@@ -134,47 +136,18 @@ class DpTable:
         eq_rest = self.levels[h - 1][i][j]
         split, mins = self._split_scan(i, j, h)
         if eq_rest <= split:
-            return ("eq", inst.asc_perm[h - 1])
-        return ("split", mins[0])
+            return ("eq", inst.asc_perm[h - 1], (i, j, h - 1))
+        l = mins[0]
+        return ("split", l, (i, l, h), (l + 1, j, h))
+
+    def choice_at(self, sid: tuple[int, int, int]) -> tuple[str, int | None]:
+        """('leaf', key), ('eq', key) or ('split', cut): the head of
+        ``step``."""
+        return self.step(sid)[:2]
 
     def reconstruct(self, sid: tuple[int, int, int]) -> Node:
-        """Optimal tree for a subproblem; equality wins ties and cut
-        ties resolve leftmost, so reconstruction is deterministic."""
-        vals: list[Node] = []
-        stack: list[tuple] = [("go", sid[0], sid[1], sid[2])]
-        inst = self.inst
-        while stack:
-            entry = stack.pop()
-            if entry[0] == "make_eq":
-                key = entry[1]
-                no_child = vals.pop()
-                vals.append(EqNode(key, Leaf(key), no_child))
-                continue
-            if entry[0] == "make_lt":
-                key = entry[1]
-                no_child = vals.pop()
-                yes_child = vals.pop()
-                vals.append(LtNode(key, yes_child, no_child))
-                continue
-            _, i, j, h = entry
-            h = self._canonical_h(i, j, h)
-            m = inst.sub_count(i, j, h)
-            if m == 0:
-                raise PreconditionError(f"empty subproblem {(i, j, h)} has no tree")
-            if m == 1:
-                vals.append(Leaf(inst.first_member(i, j, h)))
-                continue
-            eq_rest = self.levels[h - 1][i][j]
-            split, mins = self._split_scan(i, j, h)
-            if eq_rest <= split:
-                stack.append(("make_eq", inst.asc_perm[h - 1]))
-                stack.append(("go", i, j, h - 1))
-            else:
-                l = mins[0]
-                stack.append(("make_lt", l + 1))
-                stack.append(("go", l + 1, j, h))
-                stack.append(("go", i, l, h))
-        return vals[0]
+        """Optimal tree for a subproblem, with ``step``'s tie-breaks."""
+        return build_tree(sid, self.step)
 
 
 def _check_budget(n: int) -> None:

@@ -16,6 +16,9 @@ on their admissible inputs:
   4R are forced cut-rooted, shorter windows delegate to the full DP
   with window-pattern caching.
 
+Each solver records one compact choice per state and rebuilds its tree
+from those choices with ``tree.build_tree``.
+
 Work counters deliberately count each (state, cut position) evaluation
 once, with no deduplication of states that share a member set at
 different positions: the counters are the evidence for how much work
@@ -26,14 +29,13 @@ collapsed behind their back.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log
-from typing import ClassVar
 
 from .dp_core import solve_full
 from .errors import PreconditionError, TwocstError
 from .instance import WeightedInstance
-from .tree import EqNode, Leaf, LtNode, Node
+from .tree import Node, build_tree
 
 
 @dataclass
@@ -55,29 +57,6 @@ class SolveStats:
     max_hole_depth: int = 0
     branches: dict[tuple[int, int, int], str] | None = None
 
-    CSV_HEADER: ClassVar[tuple[str, ...]] = (
-        "instance",
-        "n",
-        "subproblems",
-        "cutpoints",
-        "eq_prunes",
-        "lt_prunes",
-        "max_hole_depth",
-        "wall_ms",
-    )
-
-    def to_csv_row(self, instance_id: str, n: int, wall_ms: float) -> list[str]:
-        return [
-            instance_id,
-            str(n),
-            str(self.subproblems_evaluated),
-            str(self.cutpoints_scanned),
-            str(self.eq_prunes),
-            str(self.lt_prunes),
-            str(self.max_hole_depth),
-            f"{wall_ms:.3f}",
-        ]
-
 
 @dataclass(frozen=True)
 class RefinedInterval:
@@ -96,17 +75,6 @@ class RefinedInterval:
 
     def width(self) -> int:
         return 0 if self.empty else self.hi - self.lo + 1
-
-
-@dataclass(frozen=True)
-class HoleState:
-    """A bounded-log state: interval [i, j] minus its s heaviest keys,
-    which together weigh ``removed`` leaving member weight v."""
-
-    i: int
-    j: int
-    s: int
-    v: int
 
 
 _EMPTY_INTERVAL = RefinedInterval(0, -1, True)
@@ -270,41 +238,18 @@ def solve_pruned(
         memo[key] = c
         return c
 
-    total = solve(1, n, n)
-    tree = _build_from_choices(choices, base, 1, n, n)
-    return total, tree, stats
-
-
-def _build_from_choices(choices: dict[int, tuple], base: int, i0: int, j0: int, h0: int) -> Node:
-    out: list[Node] = []
-    stack: list[tuple] = [("go", i0, j0, h0)]
-    while stack:
-        entry = stack.pop()
-        tag = entry[0]
-        if tag == "make_eq":
-            no = out.pop()
-            out.append(EqNode(entry[1], Leaf(entry[1]), no))
-            continue
-        if tag == "make_lt":
-            no = out.pop()
-            yes = out.pop()
-            out.append(LtNode(entry[1], yes, no))
-            continue
-        _, i, j, h = entry
+    def step(state: tuple[int, int, int]) -> tuple:
+        i, j, h = state
         ch = choices[(i * base + j) * base + h]
-        if ch[0] == "leaf":
-            if ch[1] is None:
-                raise TwocstError("cannot build a tree for an empty subproblem")
-            out.append(Leaf(ch[1]))
-        elif ch[0] == "eq":
-            stack.append(("make_eq", ch[1]))
-            stack.append(("go", i, j, ch[2]))
-        else:
+        if ch[0] == "eq":
+            return ("eq", ch[1], (i, j, ch[2]))
+        if ch[0] == "split":
             _, l, hl, hr = ch
-            stack.append(("make_lt", l + 1))
-            stack.append(("go", l + 1, j, hr))
-            stack.append(("go", i, l, hl))
-    return out[0]
+            return ("split", l, (i, l, hl), (l + 1, j, hr))
+        return ch
+
+    total = solve(1, n, n)
+    return total, build_tree((1, n, n), step), stats
 
 
 def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
@@ -344,12 +289,11 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
             choices[key] = ("leaf", members[0] if m else None)
             return 0
         v = sum(w_arr[k] for k in members)
-        state = HoleState(i, j, s, v)
         if m == 2:
             a, b = members
             heavy, light = (a, b) if rank[a] > rank[b] else (b, a)
             memo[key] = v
-            choices[key] = ("pair", state, heavy, light)
+            choices[key] = ("pair", heavy, light)
             return v
         heaviest = max(members, key=lambda k: rank[k])
         wmax = w_arr[heaviest]
@@ -373,12 +317,12 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
             eq_rest = solve(i, j, s + 1)
             if eq_rest <= split:
                 memo[key] = v + eq_rest
-                choices[key] = ("eq", state, heaviest)
+                choices[key] = ("eq", heaviest)
                 return v + eq_rest
         else:
             stats.lt_prunes += 1
         memo[key] = v + split
-        choices[key] = ("split", state) + best_cut
+        choices[key] = ("split",) + best_cut
         return v + split
 
     total = solve(1, n, 0)
@@ -388,44 +332,23 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
         raise TwocstError(
             f"hole depth {stats.max_hole_depth} exceeded the log bound {cap}"
         )
-    tree = _build_log_tree(choices, 1, n)
-    return total, tree, stats
 
+    def step(state: tuple[int, int, int]) -> tuple:
+        i, j, s = state
+        if i == j and s == 0:
+            return ("leaf", i)
+        ch = choices[state]
+        if ch[0] == "pair":
+            # the rest of a two-key state is the lighter key alone
+            return ("eq", ch[1], (ch[2], ch[2], 0))
+        if ch[0] == "eq":
+            return ("eq", ch[1], (i, j, s + 1))
+        if ch[0] == "split":
+            _, l, s_left = ch
+            return ("split", l, (i, l, s_left), (l + 1, j, s - s_left))
+        return ch
 
-def _build_log_tree(choices: dict[tuple[int, int, int], tuple], n_i: int, n_j: int) -> Node:
-    out: list[Node] = []
-    stack: list[tuple] = [("go", n_i, n_j, 0)]
-    while stack:
-        entry = stack.pop()
-        tag = entry[0]
-        if tag == "make_eq":
-            no = out.pop()
-            out.append(EqNode(entry[1], Leaf(entry[1]), no))
-            continue
-        if tag == "make_lt":
-            no = out.pop()
-            yes = out.pop()
-            out.append(LtNode(entry[1], yes, no))
-            continue
-        _, i, j, s = entry
-        ch = choices[(i, j, s)]
-        kind = ch[0]
-        if kind == "leaf":
-            if ch[1] is None:
-                raise TwocstError("cannot build a tree for an empty subproblem")
-            out.append(Leaf(ch[1]))
-        elif kind == "pair":
-            _, _, heavy, light = ch
-            out.append(EqNode(heavy, Leaf(heavy), Leaf(light)))
-        elif kind == "eq":
-            stack.append(("make_eq", ch[2]))
-            stack.append(("go", i, j, s + 1))
-        else:
-            _, _, l, s_left = ch
-            stack.append(("make_lt", l + 1))
-            stack.append(("go", l + 1, j, s - s_left))
-            stack.append(("go", i, l, s_left))
-    return out[0]
+    return total, build_tree((1, n, 0), step), stats
 
 
 def _interval_costs_bounded(
@@ -471,24 +394,24 @@ def _interval_costs_bounded(
     return costs, stats, cache
 
 
-def _shift_tree(tree: Node, delta: int) -> Node:
-    if delta == 0:
-        return tree
-    out: list[Node] = []
-    stack: list[tuple[Node, bool]] = [(tree, False)]
-    while stack:
-        node, seen = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(Leaf(node.key + delta))
-        elif not seen:
-            stack.append((node, True))
-            stack.append((node.yes, False))
-            stack.append((node.no, False))
-        else:
-            yes = out.pop()
-            no = out.pop()
-            out.append(type(node)(node.key + delta, yes, no))
-    return out[0]
+def hole_free_costs(inst: WeightedInstance) -> list[list[int]]:
+    """Interval cost matrix over all keys: costs[i][j] for 1 <= i <= j
+    <= n, zero when i >= j.  Uses the bounded-weight engine when the
+    weights are small positive ints and the instance is long enough
+    for its window split to help; the two paths compute identical
+    values."""
+    n = inst.n
+    top = max(inst.weights)
+    if min(inst.weights) >= 1 and 4 * top + 1 <= n:
+        costs, _, _ = _interval_costs_bounded(inst, top)
+        return costs
+    table, _, _ = solve_full(inst)
+    costs = [[0] * (n + 1) for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        row = costs[i]
+        for j in range(i + 1, n + 1):
+            row[j] = table.cost_at((i, j, n))
+    return costs
 
 
 def solve_bounded_const(
@@ -513,24 +436,24 @@ def solve_bounded_const(
     window = 4 * limit
     weights = inst.weights
 
-    out: list[Node] = []
-    stack: list[tuple] = [("go", 1, n)]
-    while stack:
-        entry = stack.pop()
-        if entry[0] == "make_lt":
-            no = out.pop()
-            yes = out.pop()
-            out.append(LtNode(entry[1], yes, no))
-            continue
-        _, i, j = entry
+    def step(state: tuple) -> tuple:
+        """States are outer intervals (i, j), or (table, sid, offset)
+        for a subproblem of a cached window table whose keys sit
+        ``offset`` positions into the instance."""
+        if len(state) == 3:
+            table, sid, off = state
+            ch = table.step(sid)
+            if ch[0] == "leaf":
+                return ("leaf", ch[1] + off)
+            if ch[0] == "eq":
+                return ("eq", ch[1] + off, (table, ch[2], off))
+            return ("split", ch[1] + off, (table, ch[2], off), (table, ch[3], off))
+        i, j = state
         if i == j:
-            out.append(Leaf(i))
-            continue
+            return ("leaf", i)
         if j - i + 1 <= window:
-            table, _ = cache[weights[i - 1 : j]]
             width = j - i + 1
-            out.append(_shift_tree(table.reconstruct((1, width, width)), i - 1))
-            continue
+            return step((cache[weights[i - 1 : j]][0], (1, width, width), i - 1))
         row = costs[i]
         best = None
         best_l = None
@@ -539,7 +462,6 @@ def solve_bounded_const(
             if best is None or v < best:
                 best = v
                 best_l = l
-        stack.append(("make_lt", best_l + 1))
-        stack.append(("go", best_l + 1, j))
-        stack.append(("go", i, best_l))
-    return costs[1][n], out[0], stats
+        return ("split", best_l, (i, best_l), (best_l + 1, j))
+
+    return costs[1][n], build_tree((1, n), step), stats

@@ -21,7 +21,7 @@ from .dp_core import DpTable, root_split_costs, solve_full
 from .errors import PreconditionError
 from .instance import WeightedInstance, new_instance
 from .oracle import brute_force_optimal
-from .pruned import _interval_costs_bounded, solve_bounded_log, solve_pruned
+from .pruned import hole_free_costs, solve_bounded_log, solve_pruned
 from .tree import EqNode, Leaf, Node, cost, main_branch, side_weight
 
 # Three keys with a heavy middle: the smallest instance whose cost
@@ -196,26 +196,6 @@ class GeneratorSpec:
         if self.n is not None:
             parts.append(f"n{self.n}")
         return "-".join(parts)
-
-
-def hole_free_costs(inst: WeightedInstance) -> list[list[int]]:
-    """Interval cost matrix over all keys: costs[i][j] for 1 <= i <= j
-    <= n, zero when i >= j.  Uses the bounded-weight engine when the
-    weights are small positive ints and the instance is long enough
-    for its window split to help; the two paths compute identical
-    values."""
-    n = inst.n
-    top = max(inst.weights)
-    if min(inst.weights) >= 1 and 4 * top + 1 <= n:
-        costs, _, _ = _interval_costs_bounded(inst, top)
-        return costs
-    table, _, _ = solve_full(inst)
-    costs = [[0] * (n + 1) for _ in range(n + 2)]
-    for i in range(1, n + 1):
-        row = costs[i]
-        for j in range(i + 1, n + 1):
-            row[j] = table.cost_at((i, j, n))
-    return costs
 
 
 UNDEFINED, GRAY, RED = 0, 1, 2

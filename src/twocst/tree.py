@@ -7,6 +7,17 @@ of tests performed, which equals both the weighted leaf depth sum and
 the sum of subtree weights over internal nodes; ``cost`` computes the
 two independently and insists they agree.
 
+Every solver that produces a tree (the oracle excepted) rebuilds it
+with ``build_tree(root, step)``, where ``step(state)`` names the test
+heading the subtree for ``state``:
+
+* ``("leaf", key)``: a leaf; a key of None marks an empty subproblem,
+  which has no tree and raises ``PreconditionError``;
+* ``("eq", key, rest)``: ``query == key``, with ``rest``'s subtree on
+  the no side;
+* ``("split", l, left, right)``: the cut after key l, built as
+  ``LtNode(l + 1)`` over ``left``'s and ``right``'s subtrees.
+
 All traversals here are iterative so deep chain-shaped trees never hit
 the interpreter recursion limit.
 """
@@ -14,9 +25,9 @@ the interpreter recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
-from .errors import ParseError, TwocstError
+from .errors import ParseError, PreconditionError, TwocstError
 from .instance import WeightedInstance
 
 
@@ -44,6 +55,35 @@ class LtNode:
 
 
 Node = Union[Leaf, EqNode, LtNode]
+
+
+def build_tree(root: object, step: Callable[[object], tuple]) -> Node:
+    """Tree for state ``root``, expanding states through ``step`` (see
+    the module docstring) with an explicit stack."""
+    out: list[Node] = []
+    stack: list[tuple[str, object]] = [("go", root)]
+    while stack:
+        tag, arg = stack.pop()
+        if tag == "eq":
+            out.append(EqNode(arg, Leaf(arg), out.pop()))
+        elif tag == "lt":
+            no = out.pop()
+            out.append(LtNode(arg, out.pop(), no))
+        else:
+            choice = step(arg)
+            kind = choice[0]
+            if kind == "leaf":
+                if choice[1] is None:
+                    raise PreconditionError(f"empty subproblem {arg} has no tree")
+                out.append(Leaf(choice[1]))
+            elif kind == "eq":
+                stack.append(("eq", choice[1]))
+                stack.append(("go", choice[2]))
+            else:
+                stack.append(("lt", choice[1] + 1))
+                stack.append(("go", choice[3]))
+                stack.append(("go", choice[2]))
+    return out[0]
 
 
 def cost(tree: Node, inst: WeightedInstance) -> int:

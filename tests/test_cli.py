@@ -132,6 +132,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", str(path), "oracle")
         assert code == 3
 
+    def test_solver_error_is_exit_three(self, capsys, fig1, monkeypatch):
+        def fail(_inst):
+            raise TwocstError("hole depth 9 exceeded the log bound 8")
+
+        monkeypatch.setattr("twocst.cli.solve_bounded_log", fail)
+        code, _, err = run(capsys, "solve", fig1, "bounded-log")
+        assert code == 3
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_verify_failures_exit_one(self, capsys):
         # geometric chain closed form only covers gamma in (0, 1); n = 1
         # keeps the suite defined but cannot fail, so force a real failure

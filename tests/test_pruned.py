@@ -120,14 +120,6 @@ class TestCounters:
         assert stats.eq_prunes == 2858
         assert stats.lt_prunes == 0
 
-    def test_csv_row_shape(self):
-        from twocst.pruned import SolveStats
-
-        _best, _tree, stats = solve_pruned(new_instance([1, 2, 3]))
-        row = stats.to_csv_row("demo", 3, 1.5)
-        assert len(row) == len(SolveStats.CSV_HEADER)
-        assert row[0] == "demo"
-
     def test_branch_recording(self):
         _best, _tree, stats = solve_pruned(new_instance([2, 1, 2, 1]), record_branches=True)
         assert stats.branches

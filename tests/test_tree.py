@@ -1,5 +1,9 @@
 """Tree cost, structure checks, validation, serialization."""
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,16 +12,24 @@ from twocst import (
     EqNode,
     Leaf,
     LtNode,
+    TwocstError,
     cost,
     depth_map,
     from_json,
+    hard_instance,
     new_instance,
+    pattern_instance,
+    solve_bounded_const,
+    solve_bounded_log,
     solve_full,
+    solve_pruned,
     to_dot,
     to_json,
     validate,
 )
+from twocst.errors import PreconditionError
 from twocst.tree import (
+    build_tree,
     check_side_weight_all_edges,
     check_side_weight_monotone,
     main_branch,
@@ -148,3 +160,112 @@ def test_optimal_trees_have_monotone_side_weights(ws):
     inst = new_instance(ws)
     _table, _best, tree = solve_full(inst)
     assert check_side_weight_monotone(tree, inst) == []
+
+
+def test_build_tree_is_iterative_on_deep_chains():
+    depth = 100_000
+
+    def step(k):
+        return ("leaf", k) if k == depth else ("eq", k, k + 1)
+
+    node = build_tree(1, step)
+    for k in range(1, depth):
+        assert isinstance(node, EqNode) and node.key == k and node.yes == Leaf(k)
+        node = node.no
+    assert node == Leaf(depth)
+
+
+def test_build_tree_split_encodes_cut_after_l():
+    steps = {"root": ("split", 2, "a", "b"), "a": ("eq", 1, "c"), "b": ("leaf", 3), "c": ("leaf", 2)}
+    tree = build_tree("root", steps.__getitem__)
+    assert tree == LtNode(3, EqNode(1, Leaf(1), Leaf(2)), Leaf(3))
+    assert validate(tree, new_instance([1, 1, 1])).ok
+
+
+def test_build_tree_rejects_empty_subproblem():
+    steps = {"root": ("eq", 1, "rest"), "rest": ("leaf", None)}
+    with pytest.raises(PreconditionError):
+        build_tree("root", steps.__getitem__)
+
+
+def _pin_weights() -> list[list[int]]:
+    """Seeded instances with zeros, ties, 2**30-scale weights and
+    shuffled powers of two, plus a hard and two pattern instances."""
+    out: list[list[int]] = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        n = 4 + seed
+        out.append([rng.randint(0, 9) for _ in range(n)])
+        out.append([rng.randint(1, 3) for _ in range(n + 6)])
+        out.append([rng.randint(1, 4) * 2**30 + rng.randint(0, 3) for _ in range(n)])
+        geo = [2**k for k in range(n)]
+        rng.shuffle(geo)
+        out.append(geo)
+    for seed in (40, 41, 42):
+        rng = random.Random(seed)
+        out.append([rng.randint(1, 3) for _ in range(30)])
+        out.append([rng.randint(1, 100) for _ in range(18)])
+    out.append(list(hard_instance(28).weights))
+    out.append(list(pattern_instance((1, 3), 24).weights))
+    out.append(list(pattern_instance((1, 2, 5), 30).weights))
+    return out
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _tree_line(tree) -> str:
+    return json.dumps(to_json(tree), sort_keys=True)
+
+
+# sha256 over the JSON of each solver's tree on every admissible pin
+# instance; the constants date from before the solvers shared one tree
+# builder and must not move: a changed tie-break that keeps the cost
+# still changes the tree
+PINNED_TREES = {
+    "full": "140927fcb803eca477d8ab65d145a643b4f3dac8ef58e33b76ef9bf2eb7478b3",
+    "pruned": "140927fcb803eca477d8ab65d145a643b4f3dac8ef58e33b76ef9bf2eb7478b3",
+    "bounded-log": "50b0c5ef460b40f438a1035ec790cc7de69e53c22b76b33327ac0d97723ffe02",
+    "bounded-const": "8a6bf30044636cde287379e0bbb7acc57dbf03482029028d4d2f931acc6e1d69",
+}
+PINNED_CHOICES = "f47b10b1b69e5c02cdb3f413baaf549115bf3fa155e85a2b634662120da8e750"
+
+
+def test_solver_trees_are_pinned():
+    lines: dict[str, list[str]] = {name: [] for name in PINNED_TREES}
+    for ws in _pin_weights():
+        inst = new_instance(ws)
+        lines["full"].append(_tree_line(solve_full(inst)[2]))
+        lines["pruned"].append(_tree_line(solve_pruned(inst)[1]))
+        if min(ws) >= 1:
+            lines["bounded-log"].append(_tree_line(solve_bounded_log(inst)[1]))
+        if max(ws) <= 3 and min(ws) >= 1:
+            lines["bounded-const"].append(_tree_line(solve_bounded_const(inst)[1]))
+    assert {name: len(got) for name, got in lines.items()} == {
+        "full": 41,
+        "pruned": 41,
+        "bounded-log": 35,
+        "bounded-const": 12,
+    }
+    assert {name: _digest(got) for name, got in lines.items()} == PINNED_TREES
+
+
+def test_choices_and_subtrees_are_pinned():
+    lines: list[str] = []
+    for ws in _pin_weights():
+        if len(ws) > 10:
+            continue
+        inst = new_instance(ws)
+        table = solve_full(inst)[0]
+        n = inst.n
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                for h in range(n + 1):
+                    try:
+                        sub = _tree_line(table.reconstruct((i, j, h)))
+                    except TwocstError as exc:
+                        sub = type(exc).__name__
+                    lines.append(f"{ws} {(i, j, h)} {table.choice_at((i, j, h))} {sub}")
+    assert len(lines) == 6275
+    assert _digest(lines) == PINNED_CHOICES
