@@ -28,7 +28,7 @@ collapsed behind their back.
 
 from __future__ import annotations
 
-import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil, log
 
@@ -80,52 +80,46 @@ class RefinedInterval:
 _EMPTY_INTERVAL = RefinedInterval(0, -1, True)
 
 
-def refined_interval(inst: WeightedInstance, sid: tuple[int, int, int], weight_fn=None) -> RefinedInterval:
-    """Quarter-balanced cut positions for a subproblem, via three binary
-    searches over the monotone prefix weight (find one balanced cut by
-    walking toward the heavier side, then locate both endpoints).
-
-    ``weight_fn(i, l, h)`` may be injected to count weight probes; it
-    must agree with ``inst.sub_weight``.
-    """
+def refined_interval(inst: WeightedInstance, sid: tuple[int, int, int]) -> RefinedInterval:
+    """Quarter-balanced cut positions for a subproblem: two bisections
+    of the level's monotone prefix-weight row, the same ones
+    ``solve_full`` runs, clamped to the cuts between member keys (the
+    clamp binds only when the member weight is 0)."""
     i, j, h = sid
     if inst.sub_count(i, j, h) < 2:
         raise PreconditionError(f"refined interval needs at least two keys in {sid}")
-    if weight_fn is None:
-        weight_fn = inst.sub_weight
-    w = weight_fn(i, j, h)
-    mn = inst.first_member(i, j, h)
-    mx = inst.last_member(i, j, h)
-    lo, hi = mn, mx - 1
-    found = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        left = weight_fn(i, mid, h)
-        if 4 * left < w:
-            lo = mid + 1
-        elif 4 * (w - left) < w:
-            hi = mid - 1
-        else:
-            found = mid
-            break
-    if found is None:
-        return _EMPTY_INTERVAL
-    lo, hi = mn, found
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if 4 * weight_fn(i, mid, h) >= w:
-            hi = mid
-        else:
-            lo = mid + 1
-    left_end = lo
-    lo, hi = found, mx - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if 4 * (w - weight_fn(i, mid, h)) >= w:
-            lo = mid
-        else:
-            hi = mid - 1
-    return RefinedInterval(left_end, lo, False)
+    pw = inst._prefix[0][h]
+    q = (pw[j] - pw[i - 1] + 3) // 4
+    lo = max(bisect_left(pw, pw[i - 1] + q, i, j), inst.first_member(i, j, h))
+    hi = min(bisect_right(pw, pw[j] - q, i, j), inst.last_member(i, j, h)) - 1
+    return _EMPTY_INTERVAL if lo > hi else RefinedInterval(lo, hi, False)
+
+
+def _evaluate(root, expand, memo: dict):
+    """Value of ``root`` under a memoized recurrence, on an explicit
+    stack instead of the interpreter's.
+
+    ``expand(state)`` is a generator: it yields each child state it
+    needs, is sent that child's value, and returns the state's value,
+    which is stored in ``memo`` once.  A child already in ``memo`` is
+    sent straight back without being expanded again.
+    """
+    value = memo.get(root)
+    if value is not None:
+        return value
+    stack = [(root, expand(root))]
+    while stack:
+        state, gen = stack[-1]
+        try:
+            child = gen.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[state] = done.value
+            continue
+        value = memo.get(child)
+        if value is None:
+            stack.append((child, expand(child)))
+    return value
 
 
 def solve_pruned(
@@ -146,13 +140,10 @@ def solve_pruned(
     memo: dict[int, int] = {}
     choices: dict[int, tuple] = {}
     base = n + 2
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * n + 1000))
 
-    def solve(i: int, j: int, h: int) -> int:
-        key = (i * base + j) * base + h
-        got = memo.get(key)
-        if got is not None:
-            return got
+    def solve(key: int):
+        ij, h = divmod(key, base)
+        i, j = divmod(ij, base)
         stats.subproblems_evaluated += 1
         mpos = [k for k in range(i, j + 1) if rank[k] <= h]
         m = len(mpos)
@@ -160,7 +151,6 @@ def solve_pruned(
         if holes > stats.max_hole_depth:
             stats.max_hole_depth = holes
         if m <= 1:
-            memo[key] = 0
             choices[key] = ("leaf", mpos[0] if m else None)
             return 0
         prefw = [0] * (m + 1)
@@ -181,15 +171,12 @@ def solve_pruned(
         pmax = asc[h]
         wmax = w_arr[pmax]
         h2 = max(prefmax[tmax - 1], sufmax[tmax + 1])
-
-        def solve_eq() -> int:
-            c = w + solve(i, j, h2)
-            choices[key] = ("eq", pmax, h2)
-            return c
+        eq_key = key - h + h2
 
         if 7 * wmax >= 3 * w:
             stats.eq_prunes += 1
-            c = solve_eq()
+            c = w + (yield eq_key)
+            choices[key] = ("eq", pmax, h2)
             branch = "eq-only"
         else:
             t_lo = 0
@@ -205,7 +192,8 @@ def solve_pruned(
                 if lt_only:
                     raise TwocstError(f"empty refined interval below the quarter threshold at {(i, j, h)}")
                 stats.eq_prunes += 1
-                c = solve_eq()
+                c = w + (yield eq_key)
+                choices[key] = ("eq", pmax, h2)
                 branch = "eq-only"
             else:
                 split = None
@@ -214,7 +202,7 @@ def solve_pruned(
                     hl = prefmax[t]
                     hr = sufmax[t + 1]
                     for l in range(mpos[t - 1], mpos[t]):
-                        v = solve(i, l, hl) + solve(l + 1, j, hr)
+                        v = (yield (i * base + l) * base + hl) + (yield ((l + 1) * base + j) * base + hr)
                         if split is None or v < split:
                             split = v
                             best = (l, hl, hr)
@@ -225,7 +213,7 @@ def solve_pruned(
                     choices[key] = ("split",) + best
                     branch = "lt-only"
                 else:
-                    eq_rest = solve(i, j, h2)
+                    eq_rest = yield eq_key
                     if eq_rest <= split:
                         c = w + eq_rest
                         choices[key] = ("eq", pmax, h2)
@@ -235,7 +223,6 @@ def solve_pruned(
                     branch = "both"
         if stats.branches is not None:
             stats.branches[(i, j, h)] = branch
-        memo[key] = c
         return c
 
     def step(state: tuple[int, int, int]) -> tuple:
@@ -248,7 +235,7 @@ def solve_pruned(
             return ("split", l, (i, l, hl), (l + 1, j, hr))
         return ch
 
-    total = solve(1, n, n)
+    total = _evaluate((base + n) * base + n, solve, memo)
     return total, build_tree((1, n, n), step), stats
 
 
@@ -270,13 +257,9 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     stats = SolveStats()
     memo: dict[tuple[int, int, int], int] = {}
     choices: dict[tuple[int, int, int], tuple] = {}
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * n + 1000))
 
-    def solve(i: int, j: int, s: int) -> int:
-        key = (i, j, s)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    def solve(key: tuple[int, int, int]):
+        i, j, s = key
         stats.subproblems_evaluated += 1
         if s > stats.max_hole_depth:
             stats.max_hole_depth = s
@@ -285,14 +268,12 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
         members = sorted(by_rank[s:])
         m = len(members)
         if m <= 1:
-            memo[key] = 0
             choices[key] = ("leaf", members[0] if m else None)
             return 0
         v = sum(w_arr[k] for k in members)
         if m == 2:
             a, b = members
             heavy, light = (a, b) if rank[a] > rank[b] else (b, a)
-            memo[key] = v
             choices[key] = ("pair", heavy, light)
             return v
         heaviest = max(members, key=lambda k: rank[k])
@@ -308,24 +289,22 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
             while hptr < nholes and hole_pos[hptr] <= l:
                 hptr += 1
                 s_left += 1
-            c = solve(i, l, s_left) + solve(l + 1, j, s - s_left)
+            c = (yield (i, l, s_left)) + (yield (l + 1, j, s - s_left))
             if split is None or c < split:
                 split = c
                 best_cut = (l, s_left)
         stats.cutpoints_scanned += mx - mn
         if 4 * wmax >= v:
-            eq_rest = solve(i, j, s + 1)
+            eq_rest = yield (i, j, s + 1)
             if eq_rest <= split:
-                memo[key] = v + eq_rest
                 choices[key] = ("eq", heaviest)
                 return v + eq_rest
         else:
             stats.lt_prunes += 1
-        memo[key] = v + split
         choices[key] = ("split",) + best_cut
         return v + split
 
-    total = solve(1, n, 0)
+    total = _evaluate((1, n, 0), solve, memo)
     big_r = max(inst.weights)
     cap = ceil(log(n * big_r) / log(4 / 3)) + 1 if n * big_r > 1 else 1
     if stats.max_hole_depth > cap:

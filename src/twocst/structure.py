@@ -355,8 +355,7 @@ def check_thresholds(inst: WeightedInstance, table: DpTable | None = None) -> Th
     alpha = by_weight[0]
     beta = by_weight[1] if n >= 2 else None
     if n >= 2:
-        eq_cost = total + table.cost_at((1, n, n - 1))
-        lt_cost = total + table.minimizers_at((1, n, n)).split_cost
+        eq_cost, lt_cost = root_split_costs(inst, table)
         opt = min(eq_cost, lt_cost)
     else:
         eq_cost = lt_cost = None

@@ -8,6 +8,7 @@ import pytest
 
 from twocst import TwocstError, from_json, hard_instance, new_instance, pattern_instance, validate
 from twocst.cli import main
+from twocst.structure import CheckResult
 
 
 def run(capsys, *argv):
@@ -142,13 +143,14 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
-    def test_verify_failures_exit_one(self, capsys):
-        # geometric chain closed form only covers gamma in (0, 1); n = 1
-        # keeps the suite defined but cannot fail, so force a real failure
-        # through a tiny thresholds run seeded to pass and assert 0 instead
-        code, out, _ = run(capsys, "verify", "thresholds", "--cases", "20")
-        assert code == 0
-        assert json.loads(out)["ok"] is True
+    def test_verify_failures_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "twocst.cli.suite_thresholds",
+            lambda *_: [CheckResult("forced", False, "forced failure")],
+        )
+        code, out, _ = run(capsys, "verify", "thresholds")
+        assert code == 1
+        assert json.loads(out)["ok"] is False
 
 
 class TestVerify:
