@@ -19,6 +19,12 @@ on their admissible inputs:
 Each solver records one compact choice per state and rebuilds its tree
 from those choices with ``tree.build_tree``.
 
+The two top-down solvers answer every per-state question (member count
+and weight, first and last member, cut range, child levels) from the
+instance's level prefix rows, never from a scan of the state's interval:
+a state costs O(log n) bisection steps plus O(1) per cut in its range,
+and the rows take O(n²) memory, as in ``solve_full``.
+
 Work counters deliberately count each (state, cut position) evaluation
 once, with no deduplication of states that share a member set at
 different positions: the counters are the evidence for how much work
@@ -122,6 +128,23 @@ def _evaluate(root, expand, memo: dict):
     return value
 
 
+def _level(pc: list[list[int]], i: int, j: int, count: int, hi: int) -> int:
+    """Least level h <= hi at which [i, j] holds ``count`` members, given
+    that it holds at least that many at level hi: the largest rank among
+    the ``count`` lightest keys of [i, j], or 0 for none.  One bisection
+    over h, since member counts only grow with h, and no level below
+    ``count`` holds ``count`` keys."""
+    lo = count
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        row = pc[mid]
+        if row[j] - row[i - 1] < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def solve_pruned(
     inst: WeightedInstance, record_branches: bool = False
 ) -> tuple[int, Node, SolveStats]:
@@ -129,13 +152,15 @@ def solve_pruned(
 
     States are positional (i, j, h) with h the rank of the heaviest
     member; cut scans cover only the quarter-refined positions.  When
-    neither threshold fires and the refined interval is empty, no cut
-    can head an optimal tree, so the state resolves by equality.
+    neither threshold fires that range is never empty: only a member
+    above half of the member weight empties it, and such a member meets
+    the 3/7 rule, so an empty range raises ``TwocstError``.
     """
     n = inst.n
     rank = inst._rank
     w_arr = inst._w
     asc = (0,) + inst.asc_perm
+    pw, pc = inst._prefix
     stats = SolveStats(branches={} if record_branches else None)
     memo: dict[int, int] = {}
     choices: dict[int, tuple] = {}
@@ -145,85 +170,68 @@ def solve_pruned(
         ij, h = divmod(key, base)
         i, j = divmod(ij, base)
         stats.subproblems_evaluated += 1
-        mpos = [k for k in range(i, j + 1) if rank[k] <= h]
-        m = len(mpos)
+        pc_h = pc[h]
+        pc_i = pc_h[i - 1]
+        m = pc_h[j] - pc_i
         holes = (j - i + 1) - m
         if holes > stats.max_hole_depth:
             stats.max_hole_depth = holes
-        if m <= 1:
-            choices[key] = ("leaf", mpos[0] if m else None)
-            return 0
-        prefw = [0] * (m + 1)
-        prefmax = [0] * (m + 1)
-        sufmax = [0] * (m + 2)
-        tmax = 0
-        for t in range(1, m + 1):
-            k = mpos[t - 1]
-            r = rank[k]
-            prefw[t] = prefw[t - 1] + w_arr[k]
-            prefmax[t] = prefmax[t - 1] if prefmax[t - 1] > r else r
-            if r == h:
-                tmax = t
-        for t in range(m, 0, -1):
-            r = rank[mpos[t - 1]]
-            sufmax[t] = sufmax[t + 1] if sufmax[t + 1] > r else r
-        w = prefw[m]
         pmax = asc[h]
+        if m <= 1:
+            # every state holds a member, and h is the rank of its heaviest
+            choices[key] = ("leaf", pmax)
+            return 0
+        pw_h = pw[h]
+        pw_i = pw_h[i - 1]
+        pw_j = pw_h[j]
+        w = pw_j - pw_i
         wmax = w_arr[pmax]
-        h2 = max(prefmax[tmax - 1], sufmax[tmax + 1])
-        eq_key = key - h + h2
-
+        split = None
         if 7 * wmax >= 3 * w:
             stats.eq_prunes += 1
-            c = w + (yield eq_key)
-            choices[key] = ("eq", pmax, h2)
             branch = "eq-only"
         else:
-            t_lo = 0
-            t_hi = -1
-            for t in range(1, m):
-                left = prefw[t]
-                if 4 * left >= w and 4 * (w - left) >= w:
-                    if t_lo == 0:
-                        t_lo = t
-                    t_hi = t
-            lt_only = 4 * wmax < w
-            if t_hi < t_lo:
-                if lt_only:
-                    raise TwocstError(f"empty refined interval below the quarter threshold at {(i, j, h)}")
-                stats.eq_prunes += 1
-                c = w + (yield eq_key)
-                choices[key] = ("eq", pmax, h2)
-                branch = "eq-only"
+            q = (w + 3) // 4
+            lo = bisect_left(pw_h, pw_i + q, i, j)
+            hi = bisect_right(pw_h, pw_j - q, i, j)
+            if lo >= hi:
+                raise TwocstError(f"empty quarter range below the 3/7 threshold at {(i, j, h)}")
+            # child levels: the right ones filled backward from the last
+            # cut, the left ones carried forward, a key at a time
+            hr = _level(pc, hi + 1, j, pc_h[j] - pc_h[hi], h)
+            hrs = [0] * (hi - lo)
+            for l in range(hi - 1, lo - 1, -1):
+                r = rank[l + 1]
+                if hr < r <= h:
+                    hr = r
+                hrs[l - lo] = hr
+            hl = _level(pc, i, lo - 1, pc_h[lo - 1] - pc_i, h)
+            for l in range(lo, hi):
+                r = rank[l]
+                if hl < r <= h:
+                    hl = r
+                hr = hrs[l - lo]
+                v = (yield (i * base + l) * base + hl) + (yield ((l + 1) * base + j) * base + hr)
+                if split is None or v < split:
+                    split = v
+                    best = (l, hl, hr)
+            stats.cutpoints_scanned += hi - lo
+            if 4 * wmax < w:
+                stats.lt_prunes += 1
+                branch = "lt-only"
             else:
-                split = None
-                best = None
-                for t in range(t_lo, t_hi + 1):
-                    hl = prefmax[t]
-                    hr = sufmax[t + 1]
-                    for l in range(mpos[t - 1], mpos[t]):
-                        v = (yield (i * base + l) * base + hl) + (yield ((l + 1) * base + j) * base + hr)
-                        if split is None or v < split:
-                            split = v
-                            best = (l, hl, hr)
-                    stats.cutpoints_scanned += mpos[t] - mpos[t - 1]
-                if lt_only:
-                    stats.lt_prunes += 1
-                    c = w + split
-                    choices[key] = ("split",) + best
-                    branch = "lt-only"
-                else:
-                    eq_rest = yield eq_key
-                    if eq_rest <= split:
-                        c = w + eq_rest
-                        choices[key] = ("eq", pmax, h2)
-                    else:
-                        c = w + split
-                        choices[key] = ("split",) + best
-                    branch = "both"
+                branch = "both"
+        eq_rest = None
+        if branch != "lt-only":
+            h2 = _level(pc, i, j, m - 1, h - 1)
+            eq_rest = yield key - h + h2
         if stats.branches is not None:
             stats.branches[(i, j, h)] = branch
-        return c
+        if eq_rest is not None and (split is None or eq_rest <= split):
+            choices[key] = ("eq", pmax, h2)
+            return w + eq_rest
+        choices[key] = ("split",) + best
+        return w + split
 
     def step(state: tuple[int, int, int]) -> tuple:
         i, j, h = state
@@ -243,7 +251,8 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     """Exact solve over (interval, hole count) states.
 
     Holes are always the s heaviest keys of the interval, so a state is
-    fully described by (i, j, s); less-than splits distribute the holes
+    fully described by (i, j, s): it is the level cell (i, j, h) with h
+    the largest member rank, and less-than splits distribute the holes
     positionally.  Equality removal is explored exactly when the
     heaviest member still holds a quarter of the member weight
     (non-strict, the safe side of the quarter threshold), which bounds
@@ -252,8 +261,9 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     n = inst.n
     if 0 in inst.weights:
         raise PreconditionError("zero weights present; rescale or use another solver")
-    rank = inst._rank
     w_arr = inst._w
+    asc = (0,) + inst.asc_perm
+    pw, pc = inst._prefix
     stats = SolveStats()
     memo: dict[tuple[int, int, int], int] = {}
     choices: dict[tuple[int, int, int], tuple] = {}
@@ -263,38 +273,31 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
         stats.subproblems_evaluated += 1
         if s > stats.max_hole_depth:
             stats.max_hole_depth = s
-        by_rank = sorted(range(i, j + 1), key=lambda k: rank[k], reverse=True)
-        hole_pos = sorted(by_rank[:s])
-        members = sorted(by_rank[s:])
-        m = len(members)
+        m = j - i + 1 - s
+        h = _level(pc, i, j, m, n)
+        heaviest = asc[h]
         if m <= 1:
-            choices[key] = ("leaf", members[0] if m else None)
+            # every state holds a member, and h is the rank of its heaviest
+            choices[key] = ("leaf", heaviest)
             return 0
-        v = sum(w_arr[k] for k in members)
+        pc_h = pc[h]
+        pc_i = pc_h[i - 1]
+        mn = bisect_left(pc_h, pc_i + 1, i, j + 1)
+        mx = bisect_left(pc_h, pc_h[j], i, j + 1)
+        v = pw[h][j] - pw[h][i - 1]
         if m == 2:
-            a, b = members
-            heavy, light = (a, b) if rank[a] > rank[b] else (b, a)
-            choices[key] = ("pair", heavy, light)
+            choices[key] = ("pair", heaviest, mn + mx - heaviest)
             return v
-        heaviest = max(members, key=lambda k: rank[k])
-        wmax = w_arr[heaviest]
-        mn = members[0]
-        mx = members[-1]
         split = None
         best_cut = None
-        hptr = 0
-        nholes = len(hole_pos)
-        s_left = 0
         for l in range(mn, mx):
-            while hptr < nholes and hole_pos[hptr] <= l:
-                hptr += 1
-                s_left += 1
+            s_left = (l - i + 1) - (pc_h[l] - pc_i)
             c = (yield (i, l, s_left)) + (yield (l + 1, j, s - s_left))
             if split is None or c < split:
                 split = c
                 best_cut = (l, s_left)
         stats.cutpoints_scanned += mx - mn
-        if 4 * wmax >= v:
+        if 4 * w_arr[heaviest] >= v:
             eq_rest = yield (i, j, s + 1)
             if eq_rest <= split:
                 choices[key] = ("eq", heaviest)

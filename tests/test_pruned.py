@@ -15,6 +15,8 @@ from twocst import (
     geometric_instance,
     hard_instance,
     new_instance,
+    pattern_instance,
+    random_instance,
     refined_interval,
     solve_bounded_const,
     solve_bounded_log,
@@ -23,6 +25,7 @@ from twocst import (
     validate,
 )
 from twocst.errors import PreconditionError, TwocstError
+from twocst.pruned import _level
 
 WEIGHTS = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=11)
 POSITIVE = st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=11)
@@ -106,6 +109,28 @@ class TestCounters:
         assert stats.cutpoints_scanned == 3976
         assert stats.eq_prunes == 2858
         assert stats.lt_prunes == 0
+
+    # (subproblems_evaluated, cutpoints_scanned, eq_prunes, lt_prunes,
+    # max_hole_depth), recorded before the solvers read the level prefix
+    # rows; a change in how much work a state does must not move them
+    FROZEN = [
+        (solve_pruned, "random", (2230, 7784, 700, 762, 9)),
+        (solve_pruned, "pattern", (1966, 7994, 502, 799, 5)),
+        (solve_pruned, "geometric", (2109, 1260, 777, 0, 39)),
+        (solve_bounded_log, "random", (2796, 38324, 0, 1441, 8)),
+        (solve_bounded_log, "pattern", (2478, 37179, 0, 1485, 4)),
+    ]
+
+    @pytest.mark.parametrize("solve,family,expected", FROZEN)
+    def test_frozen_counters(self, solve, family, expected):
+        inst = {
+            "random": lambda: random_instance(1, 1, 100, 60),
+            "pattern": lambda: pattern_instance((1, 3), 60),
+            "geometric": lambda: geometric_instance(Fraction(3, 5), 40),
+        }[family]()
+        _best, _tree, s = solve(inst)
+        got = (s.subproblems_evaluated, s.cutpoints_scanned, s.eq_prunes, s.lt_prunes, s.max_hole_depth)
+        assert got == expected
 
     def test_branch_recording(self):
         _best, _tree, stats = solve_pruned(new_instance([2, 1, 2, 1]), record_branches=True)
@@ -201,3 +226,17 @@ def test_deep_chains_leave_the_recursion_limit_alone():
             assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(before)
+
+
+@given(WEIGHTS, st.data())
+@settings(max_examples=150)
+def test_level_matches_direct_scan(ws, data):
+    inst = new_instance(ws)
+    n = inst.n
+    i = data.draw(st.integers(1, n))
+    j = data.draw(st.integers(i, n))
+    h = data.draw(st.integers(0, n))
+    count = data.draw(st.integers(0, inst.sub_count(i, j, h)))
+    lightest = sorted(inst.rank_of_key(k) for k in range(i, j + 1))[:count]
+    expected = lightest[-1] if count else 0
+    assert _level(inst._prefix[1], i, j, count, h) == expected
