@@ -20,7 +20,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,11 +31,7 @@ from .oracle import brute_force_optimal
 from .pruned import SolveStats, solve_bounded_const, solve_bounded_log, solve_pruned
 from .structure import (
     GeneratorSpec,
-    geometric_instance,
-    hard_instance,
-    pattern_instance,
     qi_table,
-    random_instance,
     suite_counterexamples,
     suite_geometric,
     suite_oracle,
@@ -118,16 +114,24 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
+    # a suite of zero cases checks nothing, and no suite draws zero keys
+    for flag, value in (("--cases", args.cases), ("--n", args.n)):
+        if value is not None and value < 1:
+            raise ParseError(f"{flag} must be at least 1, got {value}")
+
+    def given(value: int | None, default: int) -> int:
+        return default if value is None else value
+
     if suite == "counterexamples":
         results = suite_counterexamples()
     elif suite == "thresholds":
-        results = suite_thresholds(args.cases or 500, args.n or 12, args.seed or 0)
+        results = suite_thresholds(given(args.cases, 500), given(args.n, 12), given(args.seed, 0))
     elif suite == "oracle":
-        results = suite_oracle(args.cases or 200, args.n or 8, args.seed or 7)
+        results = suite_oracle(given(args.cases, 200), given(args.n, 8), given(args.seed, 7))
     elif suite == "pattern-claims":
         results = suite_pattern_claims(args.p)
     else:
-        results = suite_geometric(args.n or 25)
+        results = suite_geometric(given(args.n, 25))
     ok = all(r.ok for r in results)
     print(
         json.dumps(
@@ -154,38 +158,33 @@ def _parse_fractions(text: str) -> tuple[Fraction, ...]:
 
 
 def _instance_grid(args: argparse.Namespace) -> list[tuple[str, WeightedInstance]]:
-    """Expand bench/qi generator flags into labeled instances."""
+    """Expand bench/qi instance flags into labeled instances."""
     out: list[tuple[str, WeightedInstance]] = []
-    for path in getattr(args, "files", None) or ():
+    for path in args.files:
         out.append((path, load_instance(path)))
-    if getattr(args, "weights", None):
+    if args.weights:
         label = "weights-" + args.weights.replace(",", "_")
         out.append((label, new_instance(list(_parse_ints(args.weights)))))
-    sizes = _parse_ints(args.n) if isinstance(getattr(args, "n", None), str) else None
-    if getattr(args, "hard", None):
-        for n in _parse_ints(args.hard):
-            out.append((f"hard-n{n}", hard_instance(n)))
-    if getattr(args, "pattern", None):
-        cycle = _parse_ints(args.pattern)
-        if not sizes:
-            raise ParseError("--pattern needs --n")
-        for n in sizes:
-            label = "pattern-" + "_".join(map(str, cycle)) + f"-n{n}"
-            out.append((label, pattern_instance(cycle, n)))
-    if getattr(args, "geometric", None):
-        if not sizes:
-            raise ParseError("--geometric needs --n")
-        for g in _parse_fractions(args.geometric):
-            for n in sizes:
-                out.append((f"geometric-{g.numerator}_{g.denominator}-n{n}", geometric_instance(g, n)))
-    if getattr(args, "random", False):
+    specs = [GeneratorSpec("hard", n=n) for n in _parse_ints(args.hard)] if args.hard else []
+    # generators that take their sizes from --n, each named by its flag
+    sized: list[GeneratorSpec] = []
+    if args.pattern:
+        sized.append(GeneratorSpec("pattern", cycle=_parse_ints(args.pattern)))
+    if args.geometric:
+        sized += [GeneratorSpec("geometric", gamma=g) for g in _parse_fractions(args.geometric)]
+    if args.random:
         if args.seed is None:
             raise ParseError("--random requires --seed")
+        bounds = _parse_ints(args.range)
+        if len(bounds) != 2:
+            raise ParseError(f"--range takes LO,HI, got {args.range!r}")
+        sized.append(GeneratorSpec("random", seed=args.seed, lo=bounds[0], hi=bounds[1]))
+    sizes = _parse_ints(args.n) if args.n else ()
+    for spec in sized:
         if not sizes:
-            raise ParseError("--random needs --n")
-        lo, hi = _parse_ints(args.range)
-        for n in sizes:
-            out.append((f"random-seed{args.seed}-{lo}to{hi}-n{n}", random_instance(args.seed, lo, hi, n)))
+            raise ParseError(f"--{spec.kind} needs --n")
+        specs += [replace(spec, n=n) for n in sizes]
+    out += [(spec.label(), spec.generate()) for spec in specs]
     if not out:
         raise ParseError("no instances given; pass files or generator flags")
     return out

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import MemoryBudgetError, PreconditionError, TwocstError
-from .instance import SubproblemId, WeightedInstance
+from .instance import WeightedInstance
 from .tree import Node, build_tree
 
 MEM_LIMIT_ENV = "TWOCST_MEM_LIMIT_MB"
@@ -45,10 +45,26 @@ MEM_LIMIT_ENV = "TWOCST_MEM_LIMIT_MB"
 class MinimizerReport:
     """All optimal cut positions for one subproblem's split term."""
 
-    id: SubproblemId
     minimizers: tuple[int, ...]
     canonical: int
     split_cost: int
+
+
+def _level(pc: list[list[int]], i: int, j: int, count: int, hi: int) -> int:
+    """Least level h <= hi at which [i, j] holds ``count`` members, given
+    that it holds at least that many at level hi: the largest rank among
+    the ``count`` lightest keys of [i, j], or 0 for none.  One bisection
+    over h, since member counts only grow with h, and no level below
+    ``count`` holds ``count`` keys."""
+    lo = count
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        row = pc[mid]
+        if row[j] - row[i - 1] < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class DpTable:
@@ -76,12 +92,6 @@ class DpTable:
         if i > j:
             return 0
         return self.levels[h][i][j]
-
-    def _canonical_h(self, i: int, j: int, h: int) -> int:
-        asc = self.inst.asc_perm
-        while h > 0 and not (i <= asc[h - 1] <= j):
-            h -= 1
-        return h
 
     def _split_scan(self, i: int, j: int, h: int, inner: bool = False) -> tuple[int, list[int]]:
         """(split_cost, all minimizers) over the standard cut range, or
@@ -118,7 +128,7 @@ class DpTable:
         """
         i, j, h = sid
         best, mins = self._split_scan(i, j, h, inner)
-        return MinimizerReport(SubproblemId(i, j, h), tuple(mins), mins[0], best)
+        return MinimizerReport(tuple(mins), mins[0], best)
 
     def step(self, sid: tuple[int, int, int]) -> tuple:
         """What an optimal tree does first here, as a ``build_tree``
@@ -127,12 +137,13 @@ class DpTable:
         reconstruction is deterministic."""
         i, j, h = sid
         inst = self.inst
-        h = self._canonical_h(i, j, h)
-        m = inst.sub_count(i, j, h)
-        if m == 0:
+        pc = inst._prefix[1]
+        m = pc[h][j] - pc[h][i - 1]
+        if m <= 0:
             return ("leaf", None)
+        h = _level(pc, i, j, m, h)
         if m == 1:
-            return ("leaf", inst.first_member(i, j, h))
+            return ("leaf", inst.asc_perm[h - 1])
         eq_rest = self.levels[h - 1][i][j]
         split, mins = self._split_scan(i, j, h)
         if eq_rest <= split:

@@ -16,19 +16,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
 
 Weight = int
-
-
-class SubproblemId(NamedTuple):
-    """A key interval [i, j] restricted to the h lightest keys."""
-
-    i: int
-    j: int
-    h: int
 
 
 class WeightedInstance:

@@ -8,10 +8,10 @@ on their admissible inputs:
   equality alone; below a strict quarter it resolves by cuts alone; in
   between both branches are explored.  Cut scans are restricted to the
   quarter-refined interval, which any optimal cut must lie in.
-* ``solve_bounded_log``: states are (interval, hole count); equality
-  removals are only explored while the removed key keeps a quarter of
-  the remaining weight, capping hole depth logarithmically.  Needs
-  strictly positive weights.
+* ``solve_bounded_log``: the same states, read as (interval, hole
+  count); equality removals are only explored while the removed key
+  keeps a quarter of the remaining weight, capping hole depth
+  logarithmically.  Needs strictly positive weights.
 * ``solve_bounded_const``: for weights in [1, R]; intervals longer than
   4R are forced cut-rooted, shorter windows delegate to the full DP
   with window-pattern caching.
@@ -19,11 +19,14 @@ on their admissible inputs:
 Each solver records one compact choice per state and rebuilds its tree
 from those choices with ``tree.build_tree``.
 
-The two top-down solvers answer every per-state question (member count
-and weight, first and last member, cut range, child levels) from the
-instance's level prefix rows, never from a scan of the state's interval:
-a state costs O(log n) bisection steps plus O(1) per cut in its range,
-and the rows take O(n²) memory, as in ``solve_full``.
+The two top-down solvers share one state space: (i, j, m), the m
+lightest keys of [i, j], stored as one int.  A cut at l leaves
+(i, l, m_l) and (l+1, j, m − m_l), with m_l the members up to l, and
+equality leaves (i, j, m − 1).  Each state finds its level h, the rank
+of its heaviest member, with one bisection over the instance's level
+prefix rows and reads its weight and cut range from row h, never from
+a scan of the state's interval: a state costs O(log n) plus O(1) per
+cut in its range, and the rows take O(n²) memory, as in ``solve_full``.
 
 Work counters deliberately count each (state, cut position) evaluation
 once, with no deduplication of states that share a member set at
@@ -38,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import ceil, log
 
-from .dp_core import solve_full
+from .dp_core import _level, solve_full
 from .errors import PreconditionError, TwocstError
 from .instance import WeightedInstance
 from .tree import Node, build_tree
@@ -128,21 +131,23 @@ def _evaluate(root, expand, memo: dict):
     return value
 
 
-def _level(pc: list[list[int]], i: int, j: int, count: int, hi: int) -> int:
-    """Least level h <= hi at which [i, j] holds ``count`` members, given
-    that it holds at least that many at level hi: the largest rank among
-    the ``count`` lightest keys of [i, j], or 0 for none.  One bisection
-    over h, since member counts only grow with h, and no level below
-    ``count`` holds ``count`` keys."""
-    lo = count
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        row = pc[mid]
-        if row[j] - row[i - 1] < count:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _tree(choices: dict[int, tuple], base: int, root: int) -> Node:
+    """Tree for the member-count state ``root`` from the choices of a
+    top-down solve: ('leaf', key), ('eq', key), whose rest drops the
+    heaviest member (state key - 1), or ('split', cut, left count)."""
+
+    def step(key: int) -> tuple:
+        ch = choices[key]
+        if ch[0] == "eq":
+            return ("eq", ch[1], key - 1)
+        if ch[0] == "split":
+            _, l, m_l = ch
+            ij, m = divmod(key, base)
+            i, j = divmod(ij, base)
+            return ("split", l, (i * base + l) * base + m_l, ((l + 1) * base + j) * base + m - m_l)
+        return ch
+
+    return build_tree(root, step)
 
 
 def solve_pruned(
@@ -150,14 +155,15 @@ def solve_pruned(
 ) -> tuple[int, Node, SolveStats]:
     """Threshold-pruned exact solve.
 
-    States are positional (i, j, h) with h the rank of the heaviest
-    member; cut scans cover only the quarter-refined positions.  When
-    neither threshold fires that range is never empty: only a member
-    above half of the member weight empties it, and such a member meets
-    the 3/7 rule, so an empty range raises ``TwocstError``.
+    A state (i, j, m) is the m lightest keys of [i, j], stored as the
+    int (i·base + j)·base + m; one bisection finds its level h, the rank
+    of its heaviest member, and ``branches`` is keyed by (i, j, h).  Cut
+    scans cover only the quarter-refined positions.  When neither
+    threshold fires that range is never empty: only a member above half
+    of the member weight empties it, and such a member meets the 3/7
+    rule, so an empty range raises ``TwocstError``.
     """
     n = inst.n
-    rank = inst._rank
     w_arr = inst._w
     asc = (0,) + inst.asc_perm
     pw, pc = inst._prefix
@@ -167,20 +173,20 @@ def solve_pruned(
     base = n + 2
 
     def solve(key: int):
-        ij, h = divmod(key, base)
+        ij, m = divmod(key, base)
         i, j = divmod(ij, base)
         stats.subproblems_evaluated += 1
-        pc_h = pc[h]
-        pc_i = pc_h[i - 1]
-        m = pc_h[j] - pc_i
         holes = (j - i + 1) - m
         if holes > stats.max_hole_depth:
             stats.max_hole_depth = holes
+        h = _level(pc, i, j, m, n)
         pmax = asc[h]
         if m <= 1:
             # every state holds a member, and h is the rank of its heaviest
             choices[key] = ("leaf", pmax)
             return 0
+        pc_h = pc[h]
+        pc_i = pc_h[i - 1]
         pw_h = pw[h]
         pw_i = pw_h[i - 1]
         pw_j = pw_h[j]
@@ -196,25 +202,12 @@ def solve_pruned(
             hi = bisect_right(pw_h, pw_j - q, i, j)
             if lo >= hi:
                 raise TwocstError(f"empty quarter range below the 3/7 threshold at {(i, j, h)}")
-            # child levels: the right ones filled backward from the last
-            # cut, the left ones carried forward, a key at a time
-            hr = _level(pc, hi + 1, j, pc_h[j] - pc_h[hi], h)
-            hrs = [0] * (hi - lo)
-            for l in range(hi - 1, lo - 1, -1):
-                r = rank[l + 1]
-                if hr < r <= h:
-                    hr = r
-                hrs[l - lo] = hr
-            hl = _level(pc, i, lo - 1, pc_h[lo - 1] - pc_i, h)
             for l in range(lo, hi):
-                r = rank[l]
-                if hl < r <= h:
-                    hl = r
-                hr = hrs[l - lo]
-                v = (yield (i * base + l) * base + hl) + (yield ((l + 1) * base + j) * base + hr)
+                m_l = pc_h[l] - pc_i
+                v = (yield (i * base + l) * base + m_l) + (yield ((l + 1) * base + j) * base + m - m_l)
                 if split is None or v < split:
                     split = v
-                    best = (l, hl, hr)
+                    best = (l, m_l)
             stats.cutpoints_scanned += hi - lo
             if 4 * wmax < w:
                 stats.lt_prunes += 1
@@ -223,40 +216,30 @@ def solve_pruned(
                 branch = "both"
         eq_rest = None
         if branch != "lt-only":
-            h2 = _level(pc, i, j, m - 1, h - 1)
-            eq_rest = yield key - h + h2
+            eq_rest = yield key - 1
         if stats.branches is not None:
             stats.branches[(i, j, h)] = branch
         if eq_rest is not None and (split is None or eq_rest <= split):
-            choices[key] = ("eq", pmax, h2)
+            choices[key] = ("eq", pmax)
             return w + eq_rest
         choices[key] = ("split",) + best
         return w + split
 
-    def step(state: tuple[int, int, int]) -> tuple:
-        i, j, h = state
-        ch = choices[(i * base + j) * base + h]
-        if ch[0] == "eq":
-            return ("eq", ch[1], (i, j, ch[2]))
-        if ch[0] == "split":
-            _, l, hl, hr = ch
-            return ("split", l, (i, l, hl), (l + 1, j, hr))
-        return ch
-
-    total = _evaluate((base + n) * base + n, solve, memo)
-    return total, build_tree((1, n, n), step), stats
+    root = (base + n) * base + n
+    total = _evaluate(root, solve, memo)
+    return total, _tree(choices, base, root), stats
 
 
 def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     """Exact solve over (interval, hole count) states.
 
-    Holes are always the s heaviest keys of the interval, so a state is
-    fully described by (i, j, s): it is the level cell (i, j, h) with h
-    the largest member rank, and less-than splits distribute the holes
-    positionally.  Equality removal is explored exactly when the
-    heaviest member still holds a quarter of the member weight
-    (non-strict, the safe side of the quarter threshold), which bounds
-    hole depth by log_{4/3}(nR); the bound is asserted after solving.
+    Holes are always the heaviest keys of the interval, so a state is
+    the member-count state (i, j, m) of ``solve_pruned``, with j − i + 1
+    − m holes and one bisection for its level.  Equality removal is
+    explored exactly when the heaviest member still holds a quarter of
+    the member weight (non-strict, the safe side of the quarter
+    threshold), which bounds hole depth by log_{4/3}(nR); the bound is
+    asserted after solving.
     """
     n = inst.n
     if 0 in inst.weights:
@@ -265,15 +248,17 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     asc = (0,) + inst.asc_perm
     pw, pc = inst._prefix
     stats = SolveStats()
-    memo: dict[tuple[int, int, int], int] = {}
-    choices: dict[tuple[int, int, int], tuple] = {}
+    memo: dict[int, int] = {}
+    choices: dict[int, tuple] = {}
+    base = n + 2
 
-    def solve(key: tuple[int, int, int]):
-        i, j, s = key
+    def solve(key: int):
+        ij, m = divmod(key, base)
+        i, j = divmod(ij, base)
         stats.subproblems_evaluated += 1
+        s = j - i + 1 - m
         if s > stats.max_hole_depth:
             stats.max_hole_depth = s
-        m = j - i + 1 - s
         h = _level(pc, i, j, m, n)
         heaviest = asc[h]
         if m <= 1:
@@ -286,19 +271,22 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
         mx = bisect_left(pc_h, pc_h[j], i, j + 1)
         v = pw[h][j] - pw[h][i - 1]
         if m == 2:
-            choices[key] = ("pair", heaviest, mn + mx - heaviest)
+            # the rest of a two-key state is the lighter key alone,
+            # settled here without evaluating it
+            choices[key] = ("eq", heaviest)
+            choices[key - 1] = ("leaf", mn + mx - heaviest)
             return v
         split = None
         best_cut = None
         for l in range(mn, mx):
-            s_left = (l - i + 1) - (pc_h[l] - pc_i)
-            c = (yield (i, l, s_left)) + (yield (l + 1, j, s - s_left))
+            m_l = pc_h[l] - pc_i
+            c = (yield (i * base + l) * base + m_l) + (yield ((l + 1) * base + j) * base + m - m_l)
             if split is None or c < split:
                 split = c
-                best_cut = (l, s_left)
+                best_cut = (l, m_l)
         stats.cutpoints_scanned += mx - mn
         if 4 * w_arr[heaviest] >= v:
-            eq_rest = yield (i, j, s + 1)
+            eq_rest = yield key - 1
             if eq_rest <= split:
                 choices[key] = ("eq", heaviest)
                 return v + eq_rest
@@ -307,30 +295,15 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
         choices[key] = ("split",) + best_cut
         return v + split
 
-    total = _evaluate((1, n, 0), solve, memo)
+    root = (base + n) * base + n
+    total = _evaluate(root, solve, memo)
     big_r = max(inst.weights)
     cap = ceil(log(n * big_r) / log(4 / 3)) + 1 if n * big_r > 1 else 1
     if stats.max_hole_depth > cap:
         raise TwocstError(
             f"hole depth {stats.max_hole_depth} exceeded the log bound {cap}"
         )
-
-    def step(state: tuple[int, int, int]) -> tuple:
-        i, j, s = state
-        if i == j and s == 0:
-            return ("leaf", i)
-        ch = choices[state]
-        if ch[0] == "pair":
-            # the rest of a two-key state is the lighter key alone
-            return ("eq", ch[1], (ch[2], ch[2], 0))
-        if ch[0] == "eq":
-            return ("eq", ch[1], (i, j, s + 1))
-        if ch[0] == "split":
-            _, l, s_left = ch
-            return ("split", l, (i, l, s_left), (l + 1, j, s - s_left))
-        return ch
-
-    return total, build_tree((1, n, 0), step), stats
+    return total, _tree(choices, base, root), stats
 
 
 def _interval_costs_bounded(

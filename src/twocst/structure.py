@@ -186,9 +186,9 @@ class GeneratorSpec:
             parts.append(f"seed{self.seed}")
             parts.append(f"{self.lo}to{self.hi}")
         if self.kind == "pattern":
-            parts.append("c" + "_".join(str(c) for c in self.cycle))
+            parts.append("_".join(str(c) for c in self.cycle))
         if self.gamma is not None:
-            parts.append(f"g{self.gamma.numerator}_{self.gamma.denominator}")
+            parts.append(f"{self.gamma.numerator}_{self.gamma.denominator}")
         if self.heavy is not None:
             parts.append(f"v{self.heavy}s{self.halves}")
         if self.alpha is not None:

@@ -8,7 +8,7 @@ import pytest
 
 from twocst import TwocstError, from_json, hard_instance, new_instance, pattern_instance, validate
 from twocst.cli import main
-from twocst.structure import CheckResult
+from twocst.structure import CheckResult, suite_oracle
 
 
 def run(capsys, *argv):
@@ -163,6 +163,21 @@ class TestVerify:
         names = {r["name"] for r in payload["results"]}
         assert "heavy-mid-family-qi" in names
 
+    def test_zero_seed_is_kept(self, capsys):
+        # seed 0 must not fall back to the default seed 7, whose draws
+        # give this suite a different detail line
+        code, out, _ = run(capsys, "verify", "oracle", "--cases", "12", "--seed", "0")
+        assert code == 0
+        detail = json.loads(out)["results"][0]["detail"]
+        assert detail == suite_oracle(12, 8, 0)[0].detail
+        assert detail != suite_oracle(12, 8, 7)[0].detail
+
+    @pytest.mark.parametrize("flag", ["--cases", "--n"])
+    def test_zero_size_is_usage_error(self, capsys, flag):
+        code, _, err = run(capsys, "verify", "oracle", flag, "0")
+        assert code == 2
+        assert f"{flag} must be at least 1" in err
+
     def test_pattern_claims_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "pattern-claims", "--p", "2")
         assert code == 0
@@ -250,6 +265,35 @@ class TestBench:
         ]
         assert [r["error"] for r in rows] == ["hole-depth bound exceeded", "", "hole-depth bound exceeded", ""]
         assert rows[1]["cost"] != "" and rows[3]["cost"] != ""
+
+    def test_generator_labels(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", "--weights", "1,2,3", "--hard", "14", "--pattern", "1,3,2",
+            "--geometric", "0.55,4/7", "--random", "--seed", "3", "--range", "1,9",
+            "--n", "8", "--alg", "full",
+        )
+        assert code == 0
+        assert [r["instance"] for r in csv.DictReader(io.StringIO(out))] == [
+            "weights-1_2_3",
+            "hard-n14",
+            "pattern-1_3_2-n8",
+            "geometric-11_20-n8",
+            "geometric-4_7-n8",
+            "random-seed3-1to9-n8",
+        ]
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--pattern", "1,3"], "--pattern needs --n"),
+            (["--random", "--seed", "1"], "--random needs --n"),
+            (["--random", "--seed", "1", "--n", "5", "--range", "1,2,3"], "--range takes LO,HI"),
+        ],
+    )
+    def test_generator_flag_errors(self, capsys, flags, message):
+        code, _, err = run(capsys, "bench", *flags)
+        assert code == 2
+        assert message in err
 
     def test_unknown_algorithm(self, capsys):
         code, _, _ = run(capsys, "bench", "--weights", "1,2", "--alg", "fast")

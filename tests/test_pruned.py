@@ -1,6 +1,7 @@
 """Threshold-pruned solver, refined intervals, and the two bounded-weight
 speedups."""
 
+import hashlib
 import inspect
 import sys
 from fractions import Fraction
@@ -24,8 +25,8 @@ from twocst import (
     solve_pruned,
     validate,
 )
+from twocst.dp_core import _level
 from twocst.errors import PreconditionError, TwocstError
-from twocst.pruned import _level
 
 WEIGHTS = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=11)
 POSITIVE = st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=11)
@@ -121,16 +122,35 @@ class TestCounters:
         (solve_bounded_log, "pattern", (2478, 37179, 0, 1485, 4)),
     ]
 
+    FAMILIES = {
+        "random": lambda: random_instance(1, 1, 100, 60),
+        "pattern": lambda: pattern_instance((1, 3), 60),
+        "geometric": lambda: geometric_instance(Fraction(3, 5), 40),
+        "hard": lambda: hard_instance(28),
+    }
+
     @pytest.mark.parametrize("solve,family,expected", FROZEN)
     def test_frozen_counters(self, solve, family, expected):
-        inst = {
-            "random": lambda: random_instance(1, 1, 100, 60),
-            "pattern": lambda: pattern_instance((1, 3), 60),
-            "geometric": lambda: geometric_instance(Fraction(3, 5), 40),
-        }[family]()
-        _best, _tree, s = solve(inst)
+        _best, _tree, s = solve(self.FAMILIES[family]())
         got = (s.subproblems_evaluated, s.cutpoints_scanned, s.eq_prunes, s.lt_prunes, s.max_hole_depth)
         assert got == expected
+
+    # (states recorded, sha256 of "(i, j, h) branch" lines in insertion
+    # order), recorded before the solvers keyed their states on member
+    # counts; the order is the order in which states finish
+    FROZEN_BRANCHES = {
+        "random": (1867, "51634fa80bcc58e8a1cc47b5278ae699b091e5a6ca5b9670f2632c9ee7b3b9a7"),
+        "pattern": (1626, "b17e212539f3702e2bbd871672d9782b6efaf86a171c145d2df4884cc798ff3a"),
+        "geometric": (1407, "4f520e2c79dfdd9ce83be9ca26f1dd0f0cac8e23b703a11565789e2fa6492f04"),
+        "hard": (3255, "bc81f80162635947104f769885e5935f0276503010c89ab3440d5793b11cb1e4"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FROZEN_BRANCHES))
+    def test_frozen_branches(self, family):
+        s = solve_pruned(self.FAMILIES[family](), record_branches=True)[2]
+        lines = [f"{sid} {branch}" for sid, branch in s.branches.items()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == self.FROZEN_BRANCHES[family]
 
     def test_branch_recording(self):
         _best, _tree, stats = solve_pruned(new_instance([2, 1, 2, 1]), record_branches=True)

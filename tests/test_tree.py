@@ -72,7 +72,7 @@ def test_cost_by_depth_profile():
 def test_validate_accepts_figure_tree():
     inst = new_instance(FIG_WEIGHTS)
     report = validate(fig_tree(), inst)
-    assert report.ok, report.problems
+    assert report.ok, report.defects
 
 
 def test_validate_rejects_misrouted_tree():
@@ -125,7 +125,7 @@ def test_optimal_trees_validate(ws):
     inst = new_instance(ws)
     _table, _best, tree = solve_full(inst)
     report = validate(tree, inst)
-    assert report.ok, report.problems
+    assert report.ok, report.defects
 
 
 def test_json_round_trip():
