@@ -150,11 +150,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_fractions(text: str) -> tuple[Fraction, ...]:
+def _parse_ratio(text: str) -> Fraction:
     try:
-        return tuple(Fraction(part) for part in text.split(","))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"expected comma-separated ratios, got {text!r}") from exc
+        raise ParseError(f"expected a ratio such as 3/5 or 0.6, got {text!r}") from exc
+
+
+def _parse_fractions(text: str) -> tuple[Fraction, ...]:
+    return tuple(_parse_ratio(part) for part in text.split(","))
 
 
 def _instance_grid(args: argparse.Namespace) -> list[tuple[str, WeightedInstance]]:
@@ -164,7 +168,10 @@ def _instance_grid(args: argparse.Namespace) -> list[tuple[str, WeightedInstance
         out.append((path, load_instance(path)))
     if args.weights:
         label = "weights-" + args.weights.replace(",", "_")
-        out.append((label, new_instance(list(_parse_ints(args.weights)))))
+        try:
+            out.append((label, new_instance(list(_parse_ints(args.weights)))))
+        except PreconditionError as exc:
+            raise ParseError(f"--weights: {exc}") from exc
     specs = [GeneratorSpec("hard", n=n) for n in _parse_ints(args.hard)] if args.hard else []
     # generators that take their sizes from --n, each named by its flag
     sized: list[GeneratorSpec] = []
@@ -273,13 +280,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
         lo=args.lo,
         hi=args.hi,
-        gamma=Fraction(args.gamma) if args.gamma else None,
+        gamma=_parse_ratio(args.gamma) if args.gamma else None,
         cycle=_parse_ints(args.cycle) if args.cycle else (1, 3),
         heavy=args.heavy,
         halves=args.halves,
-        alpha=Fraction(args.alpha) if args.alpha else None,
-        beta=Fraction(args.beta) if args.beta else None,
-        eps=Fraction(args.eps) if args.eps else None,
+        alpha=_parse_ratio(args.alpha) if args.alpha else None,
+        beta=_parse_ratio(args.beta) if args.beta else None,
+        eps=_parse_ratio(args.eps) if args.eps else None,
     )
     inst = spec.generate()
     lines = [f"# {spec.label()}"]

@@ -12,9 +12,10 @@ on their admissible inputs:
   count); equality removals are only explored while the removed key
   keeps a quarter of the remaining weight, capping hole depth
   logarithmically.  Needs strictly positive weights.
-* ``solve_bounded_const``: for weights in [1, R]; intervals longer than
-  4R are forced cut-rooted, shorter windows delegate to the full DP
-  with window-pattern caching.
+* ``solve_bounded_const``: for weights in [1, R]; one full DP per
+  window of 8R keys, windows starting every 4R keys and cached by
+  weight pattern, gives every interval inside a window; the intervals
+  outside every window are longer than 4R keys, so cut-rooted.
 
 Each solver records one compact choice per state and rebuilds its tree
 from those choices with ``tree.build_tree``.
@@ -39,9 +40,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import ceil, log
+from operator import add
 
-from .dp_core import _level, solve_full
+from .dp_core import DpTable, _level, solve_full
 from .errors import PreconditionError, TwocstError
 from .instance import WeightedInstance
 from .tree import Node, build_tree
@@ -306,67 +309,63 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     return total, _tree(choices, base, root), stats
 
 
-def _interval_costs_bounded(
-    inst: WeightedInstance, limit: int
-) -> tuple[list[list[int]], SolveStats, dict]:
-    """Hole-free interval costs for weights in [1, limit].
+def _interval_costs(
+    inst: WeightedInstance, window: int
+) -> tuple[list[list[int]], SolveStats, list[tuple[int, DpTable]]]:
+    """Hole-free interval costs costs[i][j], for 1 <= i <= j <= n, from
+    full-DP tables over windows of 2·window keys that start every
+    ``window`` keys, the last one cut short at n.  Returns the costs,
+    the work done and each window's (start, table); tables are cached
+    by weight pattern, so a repeated window is solved once.
 
-    Windows of at most 4·limit keys go through the full DP (cached by
-    weight pattern); anything longer has its heaviest key strictly
-    below a quarter of the interval weight, so only cuts can be
-    optimal there and a plain interval recurrence applies.
+    Every interval of at most ``window`` keys lies in the window with
+    the largest start at or below its left end, whose top level holds
+    its cost.  Intervals outside every window take a cut at the root,
+    which is only sound when each of them is longer than four times the
+    heaviest weight: its heaviest key then holds under a quarter of its
+    weight and never heads an optimal tree.
     """
     n = inst.n
-    window = 4 * limit
     weights = inst.weights
     stats = SolveStats()
-    cache: dict[tuple[int, ...], tuple] = {}
-    pre = [0] * (n + 1)
-    for k in range(1, n + 1):
-        pre[k] = pre[k - 1] + weights[k - 1]
+    cache: dict[tuple[int, ...], DpTable] = {}
+    windows: list[tuple[int, DpTable]] = []
     costs = [[0] * (n + 1) for _ in range(n + 2)]
-    for length in range(2, n + 1):
-        short = length <= window
+    for s in range(1, n + 1, window):
+        e = min(s + 2 * window - 1, n)
+        pattern = weights[s - 1 : e]
+        if pattern not in cache:
+            table = cache[pattern] = solve_full(inst.restrict(s, e))[0]
+            stats.subproblems_evaluated += table.cells_computed
+            stats.cutpoints_scanned += table.cuts_scanned
+        windows.append((s, cache[pattern]))
+        top = cache[pattern].levels[e - s + 1]
+        for r in range(s, e + 1):
+            costs[r][r : e + 1] = top[r - s + 1][r - s + 1 :]
+        if e == n:
+            break
+    pre = list(accumulate(weights, initial=0))
+    for length in range(window + 1, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
-            if short:
-                pattern = weights[i - 1 : j]
-                got = cache.get(pattern)
-                if got is None:
-                    table, best, _ = solve_full(inst.restrict(i, j))
-                    stats.subproblems_evaluated += table.cells_computed
-                    stats.cutpoints_scanned += table.cuts_scanned
-                    got = (table, best)
-                    cache[pattern] = got
-                costs[i][j] = got[1]
-            else:
-                row = costs[i]
-                col = [costs[l + 1][j] for l in range(i, j)]
-                best = min(map(lambda a, b: a + b, row[i:j], col))
-                costs[i][j] = pre[j] - pre[i - 1] + best
-                stats.subproblems_evaluated += 1
-                stats.cutpoints_scanned += j - i
-    return costs, stats, cache
+            if j < windows[min((i - 1) // window, len(windows) - 1)][0] + 2 * window:
+                continue
+            row = costs[i]
+            best = min(map(add, row[i:j], [costs[l + 1][j] for l in range(i, j)]))
+            row[j] = pre[j] - pre[i - 1] + best
+            stats.subproblems_evaluated += 1
+            stats.cutpoints_scanned += j - i
+    return costs, stats, windows
 
 
 def hole_free_costs(inst: WeightedInstance) -> list[list[int]]:
     """Interval cost matrix over all keys: costs[i][j] for 1 <= i <= j
-    <= n, zero when i >= j.  Uses the bounded-weight engine when the
-    weights are small positive ints and the instance is long enough
-    for its window split to help; the two paths compute identical
-    values."""
-    n = inst.n
-    top = max(inst.weights)
-    if min(inst.weights) >= 1 and 4 * top + 1 <= n:
-        costs, _, _ = _interval_costs_bounded(inst, top)
-        return costs
-    table, _, _ = solve_full(inst)
-    costs = [[0] * (n + 1) for _ in range(n + 2)]
-    for i in range(1, n + 1):
-        row = costs[i]
-        for j in range(i + 1, n + 1):
-            row[j] = table.cost_at((i, j, n))
-    return costs
+    <= n, zero when i >= j.  With weights in [1, R] the windowed engine
+    solves windows of 8R keys every 4R keys and cuts every interval
+    outside them; a zero weight makes no length safe to cut, so then
+    one window covers all keys."""
+    window = 4 * max(inst.weights) if min(inst.weights) >= 1 else inst.n
+    return _interval_costs(inst, window)[0]
 
 
 def solve_bounded_const(
@@ -374,9 +373,11 @@ def solve_bounded_const(
 ) -> tuple[int, Node, SolveStats]:
     """Exact solve for integer weights in [1, limit].
 
-    Intended for small weight bounds: the interval table costs O(n²)
-    states, with full-DP work confined to windows of at most 4·limit
-    keys.  Hole depth is not tracked here (windows hide it), so
+    Intended for small weight bounds: full-DP work is confined to
+    windows of 8·limit keys every 4·limit keys, and the intervals
+    outside every window take cuts only.  The counters add the window
+    tables' cells and cuts to the outside intervals and their cuts.
+    Hole depth is not tracked here (windows hide it), so
     ``max_hole_depth`` stays 0.
     """
     n = inst.n
@@ -387,14 +388,13 @@ def solve_bounded_const(
     for k, w in enumerate(inst.weights, start=1):
         if not 1 <= w <= limit:
             raise PreconditionError(f"weight {w} of key {k} outside [1, {limit}]")
-    costs, stats, cache = _interval_costs_bounded(inst, limit)
     window = 4 * limit
-    weights = inst.weights
+    costs, stats, windows = _interval_costs(inst, window)
 
     def step(state: tuple) -> tuple:
         """States are outer intervals (i, j), or (table, sid, offset)
-        for a subproblem of a cached window table whose keys sit
-        ``offset`` positions into the instance."""
+        for a subproblem of a window table whose keys sit ``offset``
+        positions into the instance."""
         if len(state) == 3:
             table, sid, off = state
             ch = table.step(sid)
@@ -404,19 +404,11 @@ def solve_bounded_const(
                 return ("eq", ch[1] + off, (table, ch[2], off))
             return ("split", ch[1] + off, (table, ch[2], off), (table, ch[3], off))
         i, j = state
-        if i == j:
-            return ("leaf", i)
-        if j - i + 1 <= window:
-            width = j - i + 1
-            return step((cache[weights[i - 1 : j]][0], (1, width, width), i - 1))
+        s, table = windows[min((i - 1) // window, len(windows) - 1)]
+        if j < s + 2 * window:
+            return step((table, (i - s + 1, j - s + 1, table.inst.n), s - 1))
         row = costs[i]
-        best = None
-        best_l = None
-        for l in range(i, j):
-            v = row[l] + costs[l + 1][j]
-            if best is None or v < best:
-                best = v
-                best_l = l
-        return ("split", best_l, (i, best_l), (best_l + 1, j))
+        l = min(range(i, j), key=lambda l: row[l] + costs[l + 1][j])
+        return ("split", l, (i, l), (l + 1, j))
 
     return costs[1][n], build_tree((1, n), step), stats

@@ -191,8 +191,9 @@ class GeneratorSpec:
             parts.append(f"{self.gamma.numerator}_{self.gamma.denominator}")
         if self.heavy is not None:
             parts.append(f"v{self.heavy}s{self.halves}")
-        if self.alpha is not None:
-            parts.append(f"a{self.alpha.numerator}_{self.alpha.denominator}")
+        for tag, value in (("a", self.alpha), ("b", self.beta), ("e", self.eps)):
+            if value is not None:
+                parts.append(f"{tag}{value.numerator}_{value.denominator}")
         if self.n is not None:
             parts.append(f"n{self.n}")
         return "-".join(parts)

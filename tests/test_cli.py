@@ -122,6 +122,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", str(path), "full")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["bench", "qi"])
+    def test_negative_inline_weight_is_parse_error(self, capsys, tmp_path, command):
+        # the same weights in a file already exit 2
+        code, _, err = run(capsys, command, "--weights", "1,-2,3", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "negative weight" in err
+
     def test_memory_budget_is_precondition(self, capsys, fig1, monkeypatch):
         monkeypatch.setenv("TWOCST_MEM_LIMIT_MB", "0")
         code, _, _ = run(capsys, "solve", fig1, "full")
@@ -327,6 +334,17 @@ class TestGenerate:
         assert code == 0
         assert "2 0 1 0 1 1 0 1" in out
         assert "scale 6" in out
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--alpha", "--beta", "--eps"])
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_malformed_ratio_is_usage_error(self, capsys, flag, value):
+        recipe = ["tight4", "--alpha", "3/8", "--beta", "1/4", "--eps", "1/100"]
+        if flag == "--gamma":
+            recipe = ["geometric", "--n", "5"]
+        code, out, err = run(capsys, "generate", *recipe, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_kind_arguments(self, capsys):
         code, _, _ = run(capsys, "generate", "hard", "--n", "20")

@@ -15,6 +15,7 @@ from twocst import (
     geometric_chain_closed_form,
     geometric_instance,
     hard_instance,
+    hole_free_costs,
     new_instance,
     pattern_instance,
     random_instance,
@@ -213,6 +214,37 @@ class TestBoundedConst:
         _t, best_full, _ = solve_full(inst)
         assert best == best_full
         assert validate(tree, inst).ok
+
+    # weights in 1..2 give windows of at most 16 keys every 4 or 8 keys,
+    # so n >= 17 always has several windows and intervals outside them
+    @given(st.lists(st.integers(min_value=1, max_value=2), min_size=17, max_size=40))
+    @settings(max_examples=25, deadline=None)
+    def test_several_windows_match_full(self, ws):
+        inst = new_instance(ws)
+        n = inst.n
+        table, best_full, _tree = solve_full(inst)
+        costs = hole_free_costs(inst)
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                assert costs[i][j] == table.cost_at((i, j, n))
+        best, tree, _stats = solve_bounded_const(inst)
+        assert best == best_full
+        assert validate(tree, inst).ok
+        assert cost(tree, inst) == best
+
+    # (subproblems_evaluated, cutpoints_scanned): window-table cells and
+    # cuts plus the intervals outside every window and their cuts
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            (lambda: random_instance(1, 1, 3, 60), (10064, 76780)),
+            (lambda: pattern_instance((1, 3), 60), (3164, 38927)),
+        ],
+        ids=["random", "pattern"],
+    )
+    def test_frozen_counters(self, make, expected):
+        _best, _tree, s = solve_bounded_const(make())
+        assert (s.subproblems_evaluated, s.cutpoints_scanned) == expected
 
 
 def test_zero_heavy_weights_agree_with_full():

@@ -92,6 +92,14 @@ class TestGenerators:
         with pytest.raises(PreconditionError):
             GeneratorSpec(kind="random", n=4).generate()
 
+    def test_labels_name_beta_and_eps(self):
+        # two tight4 recipes that differ only in eps build different instances
+        spec = GeneratorSpec("tight4", alpha=Fraction(3, 8), beta=Fraction(1, 4), eps=Fraction(1, 1000))
+        other = GeneratorSpec("tight4", alpha=Fraction(3, 8), beta=Fraction(1, 4), eps=Fraction(1, 100))
+        assert spec.generate() != other.generate()
+        assert spec.label() == "tight4-a3_8-b1_4-e1_1000"
+        assert other.label() == "tight4-a3_8-b1_4-e1_100"
+
 
 class TestQiTable:
     def test_heavy_mid_red_cell(self):
