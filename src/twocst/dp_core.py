@@ -10,21 +10,27 @@ that rank among the h lightest overall.  With p the key of rank h:
   S = min over cuts l of C[h][i][l] + C[h][l+1][j] ranges over the cuts
   leaving member keys on both sides.
 
-Every cell is computed, but the threshold rules of Anderson, Kannan,
-Karloff & Ladner decide most of them without a full cut scan:
+C[h][i][j] depends only on which keys of [i, j] are members at level h,
+so the fill numbers the h members 1..h in key order and computes one
+cell per member run a..b (a < b) that holds p, and one cut per member
+gap: every cut inside a gap leaves the same members on each side.  Most
+cells are settled without a full cut scan by the threshold rules of
+Anderson, Kannan, Karloff & Ladner:
 
 * equality rule: if p holds at least 3/7 of the member weight
   (7·w_p >= 3·w), an equality test on p heads an optimal tree, so
   C = w + C[h-1][i][j] and no cut is scanned;
 * quarter range: every optimal cut leaves at least a quarter of w on
-  each side, so S is taken over those cuts only, found by two bisections
-  of the level's monotone prefix-weight row; if p holds under a quarter
+  each side, so S is taken over those gaps only, found by two bisections
+  of the members' prefix weights; if p holds under a quarter
   (4·w_p < w) a cut heads an optimal tree and C = w + S.
 
-Levels share unchanged rows with their predecessor, so the table costs
-one fresh row per (level, row-touched) pair instead of a full cube.  The
-fill reads columns through one in-place mirror cols[j][r] = C[h][r][j]
-of the level being filled, updated whenever a cell is set.
+Two member mirrors hold the level being filled, R[a][b] by rows and
+K[b][a] by columns.  Inserting p's member index into both repeats a
+neighbour entry, so each run holding p starts out with its level h-1
+cost without p, the equality rest.  Each level is then expanded into
+positional rows: the rows of all keys between two consecutive members
+are one list, and rows of keys after p are shared with the level below.
 """
 
 from __future__ import annotations
@@ -68,12 +74,14 @@ def _level(pc: list[list[int]], i: int, j: int, count: int, hi: int) -> int:
 
 
 class DpTable:
-    """Dense per-level cost tables plus reconstruction helpers.
+    """Per-level positional cost tables plus reconstruction helpers:
+    ``levels[h][i][j]`` is C[h][i][j], 0 when j < i.
 
-    Fill counters: ``cells_computed`` cells with at least two member
-    keys, ``cuts_scanned`` quarter-range cuts examined, ``eq_prunes``
-    cells settled by the 3/7 equality rule, ``lt_prunes`` cells whose
-    key under 1/4 of the member weight took the cut term outright.
+    Fill counters: ``cells_computed`` distinct member runs a..b of two or
+    more members holding each level's new key, ``cuts_scanned`` member
+    gaps examined in their quarter ranges, ``eq_prunes`` runs settled by
+    the 3/7 equality rule, ``lt_prunes`` runs whose new key under 1/4 of
+    the member weight took the cut term outright.
     """
 
     def __init__(self, inst: WeightedInstance):
@@ -169,8 +177,10 @@ def _check_budget(n: int) -> None:
         limit_mb = int(raw)
     except ValueError:
         raise PreconditionError(f"{MEM_LIMIT_ENV} must be an integer, got {raw!r}")
+    # at most one fresh row per (level, row-touched) pair, shared rows
+    # only lower it, plus the two member mirrors of at most (n+1)^2 entries
     fresh_rows = n * (n + 1) // 2 + n + 1
-    est = fresh_rows * ((n + 1) * 8 + 64) + (n + 1) * ((n + 2) * 8 + 64)
+    est = fresh_rows * ((n + 1) * 8 + 64) + 2 * (n + 1) * ((n + 1) * 8 + 64)
     if est > limit_mb * (1 << 20):
         raise MemoryBudgetError(
             f"n={n} needs about {est // (1 << 20) + 1} MB of tables, over the "
@@ -178,72 +188,93 @@ def _check_budget(n: int) -> None:
         )
 
 
-def solve_full(inst: WeightedInstance) -> tuple[DpTable, int, Node]:
-    """All-levels exact solve: returns the table, the optimal cost and
-    one optimal tree (deterministic tie-breaking)."""
+def _fill(inst: WeightedInstance) -> DpTable:
+    """The all-levels table, without a tree."""
     n = inst.n
     _check_budget(n)
     table = DpTable(inst)
     asc = inst.asc_perm
     pw, pc = inst._prefix
-    zrow = [0] * (n + 1)
-    prev = [zrow] * (n + 1)
+    prev = [[0] * (n + 1)] * (n + 1)
     table.levels.append(prev)
-    # cols[j][r] == C[h][r][j] for the level h being filled: when cell
-    # (i, j) reads it, rows i+1..p are final at h and rows past p hold
-    # their value from an earlier level, which h does not change
-    cols = [[0] * (n + 2) for _ in range(n + 1)]
+    # members are numbered 1..h in key order at level h, 0 is a dummy:
+    # R[a][b] == K[b][a] is the cost of members a..b (0 when b <= a),
+    # pos[a] the key of member a
+    R = [[0]]
+    K = [[0]]
+    pos = [0]
     cells = cuts = eq_prunes = lt_prunes = 0
     for h in range(1, n + 1):
         p = asc[h - 1]
+        pc_h = pc[h]
+        t = pc_h[p]
         wp = inst.weight_of(p)
         wp7 = 7 * wp
         wp4 = 4 * wp
+        # member t is new: every entry for a..b with a <= t <= b moves to
+        # the slot of the same members at level h, so before it is
+        # overwritten it holds the level h-1 cost of a..b without t
+        for r in R:
+            r.insert(t, r[t - 1])
+        R.insert(t, R[t][:] if t < h else [0] * (h + 1))
+        for r in K[t:]:
+            r.insert(t, r[t])
+        K.insert(t, K[t - 1] + [0])
+        pos.insert(t, p)
         pw_h = pw[h]
-        pc_h = pc[h]
-        cur = list(prev)
-        for i in range(p, 0, -1):
-            row = prev[i][:]
-            cur[i] = row
-            prev_row = prev[i]
-            pw_i = pw_h[i - 1]
-            pc_i = pc_h[i - 1]
-            for j in range(max(p, i + 1), n + 1):
-                if pc_h[j] - pc_i < 2:
-                    continue
+        mw = [pw_h[k] for k in pos]
+        for a in range(t, 0, -1):
+            ra = R[a]
+            mw_a = mw[a - 1]
+            for b in range(max(t, a + 1), h + 1):
                 cells += 1
-                pw_j = pw_h[j]
-                w = pw_j - pw_i
+                mw_b = mw[b]
+                w = mw_b - mw_a
                 if wp7 >= 3 * w:
                     eq_prunes += 1
-                    v = w + prev_row[j]
+                    v = w + ra[b]
                 else:
                     q = (w + 3) // 4
-                    lo = bisect_left(pw_h, pw_i + q, i, j)
-                    hi = bisect_right(pw_h, pw_j - q, i, j)
+                    lo = bisect_left(mw, mw_a + q, a, b)
+                    hi = bisect_right(mw, mw_b - q, a, b)
                     if lo >= hi:
                         # only a member above half of w empties the range,
                         # and such a member meets the 3/7 rule
-                        raise TwocstError(f"empty quarter range below the 3/7 threshold at {(i, j, h)}")
+                        raise TwocstError(
+                            f"empty quarter range below the 3/7 threshold at {(pos[a], pos[b], h)}"
+                        )
                     cuts += hi - lo
-                    split = min(map(add, row[lo:hi], cols[j][lo + 1 : hi + 1]))
+                    split = min(map(add, ra[lo:hi], K[b][lo + 1 : hi + 1]))
                     if wp4 < w:
                         lt_prunes += 1
                         v = w + split
                     else:
-                        eq_rest = prev_row[j]
+                        eq_rest = ra[b]
                         v = w + (eq_rest if eq_rest <= split else split)
-                row[j] = v
-                cols[j][i] = v
+                ra[b] = K[b][a] = v
+        # positional rows: keys i..j hold members a..pc_h[j] for every i
+        # after member a - 1 up to member a, so those rows are one list
+        cur = list(prev)
+        tail = pc_h[p:]
+        for a in range(1, t + 1):
+            row = prev[pos[a]][:p]
+            row += map(R[a].__getitem__, tail)
+            cur[pos[a - 1] + 1 : pos[a] + 1] = [row] * (pos[a] - pos[a - 1])
         table.levels.append(cur)
         prev = cur
     table.cells_computed = cells
     table.cuts_scanned = cuts
     table.eq_prunes = eq_prunes
     table.lt_prunes = lt_prunes
-    best = table.levels[n][1][n] if n >= 1 else 0
-    tree = table.reconstruct((1, n, n))
-    return table, best, tree
+    return table
+
+
+def solve_full(inst: WeightedInstance) -> tuple[DpTable, int, Node]:
+    """All-levels exact solve: returns the table, the optimal cost and
+    one optimal tree (deterministic tie-breaking)."""
+    table = _fill(inst)
+    n = inst.n
+    return table, table.levels[n][1][n], table.reconstruct((1, n, n))
 
 
 def root_split_costs(inst: WeightedInstance, table: DpTable | None = None) -> tuple[int, int]:
@@ -252,7 +283,7 @@ def root_split_costs(inst: WeightedInstance, table: DpTable | None = None) -> tu
     if inst.n < 2:
         raise PreconditionError("root comparison needs at least two keys")
     if table is None:
-        table, _, _ = solve_full(inst)
+        table = _fill(inst)
     n = inst.n
     eq_cost = inst.total + table.cost_at((1, n, n - 1))
     lt_cost = inst.total + table.minimizers_at((1, n, n)).split_cost

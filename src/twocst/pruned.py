@@ -44,7 +44,7 @@ from itertools import accumulate
 from math import ceil, log
 from operator import add
 
-from .dp_core import DpTable, _level, solve_full
+from .dp_core import DpTable, _fill, _level
 from .errors import PreconditionError, TwocstError
 from .instance import WeightedInstance
 from .tree import Node, build_tree
@@ -94,9 +94,10 @@ _EMPTY_INTERVAL = RefinedInterval(0, -1, True)
 
 def refined_interval(inst: WeightedInstance, sid: tuple[int, int, int]) -> RefinedInterval:
     """Quarter-balanced cut positions for a subproblem: two bisections
-    of the level's monotone prefix-weight row, the same ones
-    ``solve_full`` runs, clamped to the cuts between member keys (the
-    clamp binds only when the member weight is 0)."""
+    of the level's monotone prefix-weight row, clamped to the cuts
+    between member keys (the clamp binds only when the member weight is
+    0).  ``solve_full`` scans the member gaps of this range, one cut
+    each."""
     i, j, h = sid
     if inst.sub_count(i, j, h) < 2:
         raise PreconditionError(f"refined interval needs at least two keys in {sid}")
@@ -335,7 +336,7 @@ def _interval_costs(
         e = min(s + 2 * window - 1, n)
         pattern = weights[s - 1 : e]
         if pattern not in cache:
-            table = cache[pattern] = solve_full(inst.restrict(s, e))[0]
+            table = cache[pattern] = _fill(inst.restrict(s, e))
             stats.subproblems_evaluated += table.cells_computed
             stats.cutpoints_scanned += table.cuts_scanned
         windows.append((s, cache[pattern]))

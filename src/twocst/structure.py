@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dp_core import DpTable, root_split_costs, solve_full
+from .dp_core import DpTable, _fill, root_split_costs, solve_full
 from .errors import PreconditionError
 from .instance import WeightedInstance, new_instance
 from .oracle import brute_force_optimal
@@ -281,7 +281,7 @@ def check_minimizer_monotonicity(
         raise PreconditionError(f"unknown mode {mode!r}")
     n = inst.n
     if table is None:
-        table, _, _ = solve_full(inst)
+        table = _fill(inst)
 
     def mins(i: int, j: int) -> tuple[int, ...] | None:
         try:
@@ -350,7 +350,7 @@ class ThresholdReport:
 def check_thresholds(inst: WeightedInstance, table: DpTable | None = None) -> ThresholdReport:
     n = inst.n
     if table is None:
-        table, _, _ = solve_full(inst)
+        table = _fill(inst)
     total = inst.total
     by_weight = sorted(inst.weights, reverse=True)
     alpha = by_weight[0]
@@ -423,7 +423,7 @@ def check_side_weight_theorem(inst: WeightedInstance) -> list[SideWeightViolatio
     n = inst.n
     if n < 3:
         return []
-    table, _, _ = solve_full(inst)
+    table = _fill(inst)
     asc = inst.asc_perm
     out: list[SideWeightViolation] = []
     for h in range(1, n + 1):
@@ -573,7 +573,7 @@ def suite_counterexamples() -> list[CheckResult]:
     out: list[CheckResult] = []
 
     inst3 = new_instance(HEAVY_MID3)
-    table3, _, _ = solve_full(inst3)
+    table3 = _fill(inst3)
     got = (
         table3.cost_at((1, 2, 3)),
         table3.cost_at((2, 3, 3)),
@@ -591,7 +591,7 @@ def suite_counterexamples() -> list[CheckResult]:
     )
 
     inst6 = new_instance(HEAVY_PAIR6)
-    table6, _, _ = solve_full(inst6)
+    table6 = _fill(inst6)
     r16 = table6.minimizers_at((1, 6, 6))
     r26 = table6.minimizers_at((2, 6, 6))
     ok6 = r16.minimizers == (3,) and r26.minimizers == (2,)
@@ -620,7 +620,7 @@ def suite_counterexamples() -> list[CheckResult]:
     )
 
     instz = new_instance(MIXED_ZEROS6)
-    tablez, _, _ = solve_full(instz)
+    tablez = _fill(instz)
     rz1 = tablez.minimizers_at((1, 6, 6), inner=True)
     rz2 = tablez.minimizers_at((2, 6, 6), inner=True)
     sandwich = check_minimizer_monotonicity(instz, "sandwich", inner=True, table=tablez)
@@ -638,7 +638,7 @@ def suite_counterexamples() -> list[CheckResult]:
     )
 
     inste = new_instance(EPS_SEVEN)
-    tablee, _, _ = solve_full(inste)
+    tablee = _fill(inste)
     re1 = tablee.minimizers_at((1, 6, 7), inner=True)
     re2 = tablee.minimizers_at((2, 7, 7), inner=True)
     # unrestricted, [2,7] ties exactly at cuts {2,3}; the violation is
@@ -654,7 +654,7 @@ def suite_counterexamples() -> list[CheckResult]:
     )
 
     instt = new_instance(TWELVE_KEY)
-    tablet, _, _ = solve_full(instt)
+    tablet = _fill(instt)
     rt1 = tablet.minimizers_at((1, 11, 12))
     rt2 = tablet.minimizers_at((2, 12, 12))
     w111 = instt.sub_weight(1, 11, 12)

@@ -68,8 +68,8 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path), "full")
         assert code == 0
         got = fields(out)
-        assert int(got["cutpoints"]) == 5790
-        assert int(got["eq_prunes"]) == 3104
+        assert int(got["cutpoints"]) == 3290
+        assert int(got["eq_prunes"]) == 810
         assert int(got["lt_prunes"]) == 0
 
     def test_three_way_baselines(self, capsys, fig1):

@@ -183,6 +183,7 @@ def _seeded_weights():
         geo = [2**e for e in range(n)]
         rng.shuffle(geo)
         out.append(geo)
+    out.append(list(hard_instance(28).weights))
     return out
 
 
@@ -203,25 +204,30 @@ class TestPrunedFill:
         assert best == ref[inst.n][1][inst.n]
 
     def test_hard_counters_match_quarter_ranges(self):
+        # one cell per distinct member set a..b holding the new key, and
+        # one cut per member gap of its quarter range: each such gap has
+        # exactly one member, its left end, among the quarter positions
         inst = hard_instance(56)
         table, _best, _tree = solve_full(inst)
-        assert table.cells_computed == 29260
-        assert table.cuts_scanned == 111605
+        assert table.cells_computed == 8300
+        assert table.cuts_scanned == 51342
         n = inst.n
-        cells = heavy = widths = 0
+        cells = heavy = gaps = 0
         for h in range(1, n + 1):
             p = inst.key_of_rank(h)
             wp = inst.weight_of(p)
-            for i in range(1, p + 1):
-                for j in range(p, n + 1):
-                    if inst.sub_count(i, j, h) < 2:
+            members = inst.sub_keys(1, n, h)
+            for a in members:
+                for b in members:
+                    if not a <= p <= b or a == b:
                         continue
                     cells += 1
-                    w = inst.sub_weight(i, j, h)
+                    w = inst.sub_weight(a, b, h)
                     if 7 * wp >= 3 * w:
                         heavy += 1
                     else:
-                        widths += refined_interval(inst, (i, j, h)).width()
+                        cuts = refined_interval(inst, (a, b, h)).positions()
+                        gaps += sum(1 for l in cuts if inst.rank_of_key(l) <= h)
         assert cells == table.cells_computed
-        assert widths == table.cuts_scanned
-        assert heavy == table.eq_prunes > 0
+        assert gaps == table.cuts_scanned
+        assert heavy == table.eq_prunes == 5355

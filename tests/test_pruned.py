@@ -26,7 +26,7 @@ from twocst import (
     solve_pruned,
     validate,
 )
-from twocst.dp_core import _level
+from twocst.dp_core import DpTable, _level
 from twocst.errors import PreconditionError, TwocstError
 
 WEIGHTS = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=11)
@@ -232,13 +232,30 @@ class TestBoundedConst:
         assert validate(tree, inst).ok
         assert cost(tree, inst) == best
 
+    def test_window_tables_build_no_tree(self, monkeypatch):
+        # weights 1..2 give windows of at most 16 keys every 8 or fewer;
+        # costs alone must not rebuild a tree in any window table
+        inst = random_instance(1, 1, 2, 40)
+        want = solve_full(inst)[0]
+        calls = []
+        real = DpTable.reconstruct
+
+        def counting(self, sid):
+            calls.append(sid)
+            return real(self, sid)
+
+        monkeypatch.setattr(DpTable, "reconstruct", counting)
+        costs = hole_free_costs(inst)
+        assert costs[1][inst.n] == want.cost_at((1, inst.n, inst.n))
+        assert calls == []
+
     # (subproblems_evaluated, cutpoints_scanned): window-table cells and
     # cuts plus the intervals outside every window and their cuts
     @pytest.mark.parametrize(
         "make,expected",
         [
-            (lambda: random_instance(1, 1, 3, 60), (10064, 76780)),
-            (lambda: pattern_instance((1, 3), 60), (3164, 38927)),
+            (lambda: random_instance(1, 1, 3, 60), (4395, 44363)),
+            (lambda: pattern_instance((1, 3), 60), (1646, 31159)),
         ],
         ids=["random", "pattern"],
     )
