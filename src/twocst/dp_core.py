@@ -73,6 +73,45 @@ def _level(pc: list[list[int]], i: int, j: int, count: int, hi: int) -> int:
     return lo
 
 
+def _quarter(row: list[int], i: int, j: int) -> tuple[int, int]:
+    """Cuts l in [lo, hi) of keys i..j that leave at least a quarter of
+    their weight on each side, by two bisections of the monotone
+    prefix-weight ``row``.  Every optimal cut lies in this range."""
+    q = (row[j] - row[i - 1] + 3) // 4
+    return bisect_left(row, row[i - 1] + q, i, j), bisect_right(row, row[j] - q, i, j)
+
+
+def _step(inst: WeightedInstance, cost, sid: tuple[int, int, int]) -> tuple:
+    """What an optimal tree for (i, j, h) does first, as a ``build_tree``
+    step: ('leaf', key), ('eq', key, rest) or ('split', cut, left,
+    right), given ``cost(i, j, h)`` for the quarter-range cuts and, when
+    no threshold rule settles it, the equality rest.  Equality wins ties
+    and cannot win under a quarter; among cuts the leftmost wins."""
+    i, j, h = sid
+    pw, pc = inst._prefix
+    m = pc[h][j] - pc[h][i - 1]
+    if m <= 0:
+        return ("leaf", None)
+    h = _level(pc, i, j, m, h)
+    key = inst.asc_perm[h - 1]
+    if m == 1:
+        return ("leaf", key)
+    pw_h = pw[h]
+    w = pw_h[j] - pw_h[i - 1]
+    wp = inst.weight_of(key)
+    if 7 * wp < 3 * w:
+        lo, hi = _quarter(pw_h, i, j)
+        split = None
+        for l in range(lo, hi):
+            v = cost(i, l, h) + cost(l + 1, j, h)
+            if split is None or v < split:
+                split = v
+                cut = l
+        if 4 * wp < w or cost(i, j, h - 1) > split:
+            return ("split", cut, (i, cut, h), (cut + 1, j, h))
+    return ("eq", key, (i, j, h - 1))
+
+
 class DpTable:
     """Per-level positional cost tables plus reconstruction helpers:
     ``levels[h][i][j]`` is C[h][i][j], 0 when j < i.
@@ -92,18 +131,29 @@ class DpTable:
         self.eq_prunes = 0
         self.lt_prunes = 0
 
-    def cost_at(self, sid: tuple[int, int, int]) -> int:
+    def _check(self, sid: tuple[int, int, int]) -> None:
         i, j, h = sid
         n = self.inst.n
         if not (1 <= i <= n and 1 <= j <= n and 0 <= h <= n):
             raise PreconditionError(f"subproblem {sid} out of range for n={n}")
-        if i > j:
-            return 0
+
+    def _cost(self, i: int, j: int, h: int) -> int:
         return self.levels[h][i][j]
 
-    def _split_scan(self, i: int, j: int, h: int, inner: bool = False) -> tuple[int, list[int]]:
-        """(split_cost, all minimizers) over the standard cut range, or
-        with ``inner=True`` over its part inside [i+1, j-2]."""
+    def cost_at(self, sid: tuple[int, int, int]) -> int:
+        self._check(sid)
+        return self._cost(*sid)
+
+    def minimizers_at(self, sid: tuple[int, int, int], inner: bool = False) -> MinimizerReport:
+        """Optimal cuts for the split term of a subproblem, over every
+        positional cut from the first to the last member.
+
+        With ``inner=True`` the scan is restricted to cuts strictly
+        inside the interval, l in [i+1, j-2]; cuts that slice off a
+        single boundary position are excluded.
+        """
+        self._check(sid)
+        i, j, h = sid
         inst = self.inst
         mn = inst.first_member(i, j, h)
         mx = inst.last_member(i, j, h)
@@ -125,39 +175,13 @@ class DpTable:
                 mins = [l]
             elif v == best:
                 mins.append(l)
-        return best, mins
-
-    def minimizers_at(self, sid: tuple[int, int, int], inner: bool = False) -> MinimizerReport:
-        """Optimal cuts for the split term of a subproblem.
-
-        With ``inner=True`` the scan is restricted to cuts strictly
-        inside the interval, l in [i+1, j-2]; cuts that slice off a
-        single boundary position are excluded.
-        """
-        i, j, h = sid
-        best, mins = self._split_scan(i, j, h, inner)
         return MinimizerReport(tuple(mins), mins[0], best)
 
     def step(self, sid: tuple[int, int, int]) -> tuple:
         """What an optimal tree does first here, as a ``build_tree``
-        step: ('leaf', key), ('eq', key, rest) or ('split', cut, left,
-        right).  Equality wins ties and cut ties resolve leftmost, so
-        reconstruction is deterministic."""
-        i, j, h = sid
-        inst = self.inst
-        pc = inst._prefix[1]
-        m = pc[h][j] - pc[h][i - 1]
-        if m <= 0:
-            return ("leaf", None)
-        h = _level(pc, i, j, m, h)
-        if m == 1:
-            return ("leaf", inst.asc_perm[h - 1])
-        eq_rest = self.levels[h - 1][i][j]
-        split, mins = self._split_scan(i, j, h)
-        if eq_rest <= split:
-            return ("eq", inst.asc_perm[h - 1], (i, j, h - 1))
-        l = mins[0]
-        return ("split", l, (i, l, h), (l + 1, j, h))
+        step; see ``_step``."""
+        self._check(sid)
+        return _step(self.inst, self._cost, sid)
 
     def choice_at(self, sid: tuple[int, int, int]) -> tuple[str, int | None]:
         """('leaf', key), ('eq', key) or ('split', cut): the head of
@@ -234,6 +258,7 @@ def _fill(inst: WeightedInstance) -> DpTable:
                     eq_prunes += 1
                     v = w + ra[b]
                 else:
+                    # _quarter(mw, a, b), inlined for the hot loop
                     q = (w + 3) // 4
                     lo = bisect_left(mw, mw_a + q, a, b)
                     hi = bisect_right(mw, mw_b - q, a, b)

@@ -17,8 +17,9 @@ on their admissible inputs:
   weight pattern, gives every interval inside a window; the intervals
   outside every window are longer than 4R keys, so cut-rooted.
 
-Each solver records one compact choice per state and rebuilds its tree
-from those choices with ``tree.build_tree``.
+Each solver keeps only costs: its tree is rebuilt from them with
+``tree.build_tree`` through ``dp_core._step``, the one rule for what an
+optimal tree does first.
 
 The two top-down solvers share one state space: (i, j, m), the m
 lightest keys of [i, j], stored as one int.  A cut at l leaves
@@ -38,13 +39,13 @@ collapsed behind their back.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from math import ceil, log
 from operator import add
 
-from .dp_core import DpTable, _fill, _level
+from .dp_core import DpTable, _fill, _level, _quarter, _step
 from .errors import PreconditionError, TwocstError
 from .instance import WeightedInstance
 from .tree import Node, build_tree
@@ -101,10 +102,9 @@ def refined_interval(inst: WeightedInstance, sid: tuple[int, int, int]) -> Refin
     i, j, h = sid
     if inst.sub_count(i, j, h) < 2:
         raise PreconditionError(f"refined interval needs at least two keys in {sid}")
-    pw = inst._prefix[0][h]
-    q = (pw[j] - pw[i - 1] + 3) // 4
-    lo = max(bisect_left(pw, pw[i - 1] + q, i, j), inst.first_member(i, j, h))
-    hi = min(bisect_right(pw, pw[j] - q, i, j), inst.last_member(i, j, h)) - 1
+    lo, hi = _quarter(inst._prefix[0][h], i, j)
+    lo = max(lo, inst.first_member(i, j, h))
+    hi = min(hi, inst.last_member(i, j, h)) - 1
     return _EMPTY_INTERVAL if lo > hi else RefinedInterval(lo, hi, False)
 
 
@@ -135,23 +135,15 @@ def _evaluate(root, expand, memo: dict):
     return value
 
 
-def _tree(choices: dict[int, tuple], base: int, root: int) -> Node:
-    """Tree for the member-count state ``root`` from the choices of a
-    top-down solve: ('leaf', key), ('eq', key), whose rest drops the
-    heaviest member (state key - 1), or ('split', cut, left count)."""
+def _memo_tree(inst: WeightedInstance, memo: dict[int, int], base: int) -> Node:
+    """Optimal tree of a top-down solve, rebuilt from the costs in its
+    memo, which is keyed by member-count state (i·base + j)·base + m."""
+    pc = inst._prefix[1]
 
-    def step(key: int) -> tuple:
-        ch = choices[key]
-        if ch[0] == "eq":
-            return ("eq", ch[1], key - 1)
-        if ch[0] == "split":
-            _, l, m_l = ch
-            ij, m = divmod(key, base)
-            i, j = divmod(ij, base)
-            return ("split", l, (i * base + l) * base + m_l, ((l + 1) * base + j) * base + m - m_l)
-        return ch
+    def cost(i: int, j: int, h: int) -> int:
+        return memo[(i * base + j) * base + pc[h][j] - pc[h][i - 1]]
 
-    return build_tree(root, step)
+    return build_tree((1, inst.n, inst.n), lambda sid: _step(inst, cost, sid))
 
 
 def solve_pruned(
@@ -173,7 +165,6 @@ def solve_pruned(
     pw, pc = inst._prefix
     stats = SolveStats(branches={} if record_branches else None)
     memo: dict[int, int] = {}
-    choices: dict[int, tuple] = {}
     base = n + 2
 
     def solve(key: int):
@@ -183,27 +174,20 @@ def solve_pruned(
         holes = (j - i + 1) - m
         if holes > stats.max_hole_depth:
             stats.max_hole_depth = holes
-        h = _level(pc, i, j, m, n)
-        pmax = asc[h]
         if m <= 1:
-            # every state holds a member, and h is the rank of its heaviest
-            choices[key] = ("leaf", pmax)
             return 0
+        h = _level(pc, i, j, m, n)
         pc_h = pc[h]
         pc_i = pc_h[i - 1]
         pw_h = pw[h]
-        pw_i = pw_h[i - 1]
-        pw_j = pw_h[j]
-        w = pw_j - pw_i
-        wmax = w_arr[pmax]
+        w = pw_h[j] - pw_h[i - 1]
+        wmax = w_arr[asc[h]]
         split = None
         if 7 * wmax >= 3 * w:
             stats.eq_prunes += 1
             branch = "eq-only"
         else:
-            q = (w + 3) // 4
-            lo = bisect_left(pw_h, pw_i + q, i, j)
-            hi = bisect_right(pw_h, pw_j - q, i, j)
+            lo, hi = _quarter(pw_h, i, j)
             if lo >= hi:
                 raise TwocstError(f"empty quarter range below the 3/7 threshold at {(i, j, h)}")
             for l in range(lo, hi):
@@ -211,7 +195,6 @@ def solve_pruned(
                 v = (yield (i * base + l) * base + m_l) + (yield ((l + 1) * base + j) * base + m - m_l)
                 if split is None or v < split:
                     split = v
-                    best = (l, m_l)
             stats.cutpoints_scanned += hi - lo
             if 4 * wmax < w:
                 stats.lt_prunes += 1
@@ -224,14 +207,10 @@ def solve_pruned(
         if stats.branches is not None:
             stats.branches[(i, j, h)] = branch
         if eq_rest is not None and (split is None or eq_rest <= split):
-            choices[key] = ("eq", pmax)
             return w + eq_rest
-        choices[key] = ("split",) + best
         return w + split
 
-    root = (base + n) * base + n
-    total = _evaluate(root, solve, memo)
-    return total, _tree(choices, base, root), stats
+    return _evaluate((base + n) * base + n, solve, memo), _memo_tree(inst, memo, base), stats
 
 
 def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
@@ -253,7 +232,6 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     pw, pc = inst._prefix
     stats = SolveStats()
     memo: dict[int, int] = {}
-    choices: dict[int, tuple] = {}
     base = n + 2
 
     def solve(key: int):
@@ -263,51 +241,37 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
         s = j - i + 1 - m
         if s > stats.max_hole_depth:
             stats.max_hole_depth = s
-        h = _level(pc, i, j, m, n)
-        heaviest = asc[h]
         if m <= 1:
-            # every state holds a member, and h is the rank of its heaviest
-            choices[key] = ("leaf", heaviest)
             return 0
+        h = _level(pc, i, j, m, n)
+        v = pw[h][j] - pw[h][i - 1]
+        if m == 2:
+            return v  # equality on the heavier key; the rest is a leaf
         pc_h = pc[h]
         pc_i = pc_h[i - 1]
         mn = bisect_left(pc_h, pc_i + 1, i, j + 1)
         mx = bisect_left(pc_h, pc_h[j], i, j + 1)
-        v = pw[h][j] - pw[h][i - 1]
-        if m == 2:
-            # the rest of a two-key state is the lighter key alone,
-            # settled here without evaluating it
-            choices[key] = ("eq", heaviest)
-            choices[key - 1] = ("leaf", mn + mx - heaviest)
-            return v
         split = None
-        best_cut = None
         for l in range(mn, mx):
             m_l = pc_h[l] - pc_i
             c = (yield (i * base + l) * base + m_l) + (yield ((l + 1) * base + j) * base + m - m_l)
             if split is None or c < split:
                 split = c
-                best_cut = (l, m_l)
         stats.cutpoints_scanned += mx - mn
-        if 4 * w_arr[heaviest] >= v:
+        if 4 * w_arr[asc[h]] >= v:
             eq_rest = yield key - 1
             if eq_rest <= split:
-                choices[key] = ("eq", heaviest)
                 return v + eq_rest
         else:
             stats.lt_prunes += 1
-        choices[key] = ("split",) + best_cut
         return v + split
 
-    root = (base + n) * base + n
-    total = _evaluate(root, solve, memo)
+    total = _evaluate((base + n) * base + n, solve, memo)
     big_r = max(inst.weights)
     cap = ceil(log(n * big_r) / log(4 / 3)) + 1 if n * big_r > 1 else 1
     if stats.max_hole_depth > cap:
-        raise TwocstError(
-            f"hole depth {stats.max_hole_depth} exceeded the log bound {cap}"
-        )
-    return total, _tree(choices, base, root), stats
+        raise TwocstError(f"hole depth {stats.max_hole_depth} exceeded the log bound {cap}")
+    return total, _memo_tree(inst, memo, base), stats
 
 
 def _interval_costs(

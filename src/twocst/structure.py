@@ -22,7 +22,7 @@ from .errors import PreconditionError
 from .instance import WeightedInstance, new_instance
 from .oracle import brute_force_optimal
 from .pruned import hole_free_costs, solve_bounded_log, solve_pruned
-from .tree import EqNode, Leaf, Node, cost, main_branch, side_weight
+from .tree import EqNode, Leaf, Node, cost
 
 # Three keys with a heavy middle: the smallest instance whose cost
 # matrix breaks the quadrangle inequality.
@@ -425,6 +425,18 @@ def check_side_weight_theorem(inst: WeightedInstance) -> list[SideWeightViolatio
         return []
     table = _fill(inst)
     asc = inst.asc_perm
+
+    def resolve(sid: tuple[int, int, int]) -> tuple[int, tuple[int, int, int] | None]:
+        """(side weight, main-branch child) of the tree at ``sid``, by the
+        rules of ``tree.side_weight`` and ``tree.main_branch``."""
+        step = table.step(sid)
+        if step[0] == "split":
+            wl, wr = inst.sub_weight(*step[2]), inst.sub_weight(*step[3])
+            return min(wl, wr), step[2 if wl > wr else 3]
+        if step[0] == "eq":
+            return inst.weight_of(step[1]), step[2]
+        return 0, None
+
     out: list[SideWeightViolation] = []
     for h in range(1, n + 1):
         p = asc[h - 1]
@@ -433,11 +445,9 @@ def check_side_weight_theorem(inst: WeightedInstance) -> list[SideWeightViolatio
                 if inst.sub_count(i, j, h) < 3:
                     continue
                 sid = (i, j, h)
-                tree = table.reconstruct(sid)
                 w = inst.sub_weight(i, j, h)
-                branch = main_branch(tree, inst)
-                sw0 = side_weight(branch[0], inst)
-                sw1 = side_weight(branch[1], inst)
+                sw0, child = resolve(sid)
+                sw1 = resolve(child)[0]
                 if 4 * sw0 < w:
                     out.append(SideWeightViolation(sid, "quarter-root", sw0, sw1, w))
                 if 2 * (sw0 + sw1) < w:

@@ -312,7 +312,8 @@ class TestBench:
             capsys, "bench", "--hard", "14", "--alg", "pruned", "--out", str(out_path)
         )
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        with out_path.open() as f:
+            rows = list(csv.DictReader(f))
         assert rows[0]["instance"] == "hard-n14"
         assert rows[0]["subproblems"] == "493"
 

@@ -125,6 +125,14 @@ class TestMinimizers:
         assert rep.split_cost == by_hand
 
 
+@pytest.mark.parametrize("sid", [(0, 3, 3), (1, 4, 3), (1, 3, 4), (1, 3, -1), (4, 3, 3)])
+def test_out_of_range_sid_is_rejected(sid):
+    table, _b, _t = solve_full(new_instance([1, 2, 3]))
+    for query in (table.cost_at, table.step, table.choice_at, table.reconstruct, table.minimizers_at):
+        with pytest.raises(PreconditionError, match="out of range"):
+            query(sid)
+
+
 def test_root_split_costs_identity():
     inst = new_instance([10, 1, 2, 3, 1, 3, 1, 11])
     eq_cost, lt_cost = root_split_costs(inst)

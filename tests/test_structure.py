@@ -30,9 +30,10 @@ from twocst import (
     tight4_instance,
     tight8_instance,
 )
+from twocst.dp_core import DpTable
 from twocst.errors import PreconditionError
 from twocst.structure import chain_tree, hole_free_costs, marginal_advantage_check
-from twocst.tree import cost, validate
+from twocst.tree import build_tree, cost, main_branch, side_weight, validate
 
 WEIGHTS = st.lists(st.integers(min_value=0, max_value=25), min_size=1, max_size=10)
 
@@ -170,6 +171,29 @@ class TestChecks:
             if inst.total == 0:
                 continue
             assert check_side_weight_theorem(inst) == []
+
+    def test_side_weight_theorem_reports_the_step_tree(self, monkeypatch):
+        # a table that always cuts after the first member breaks the
+        # theorem; each violation must carry the side weights of the
+        # tree build_tree makes from that step
+        def first_cut(table, sid):
+            inst = table.inst
+            i, j, h = sid
+            keys = inst.sub_keys(i, j, h)
+            if len(keys) == 1:
+                return ("leaf", keys[0])
+            l = keys[0]
+            return ("split", l, (i, l, h), (l + 1, j, h))
+
+        monkeypatch.setattr(DpTable, "step", first_cut)
+        inst = new_instance([1, 2, 3, 4, 5, 6, 7])
+        violations = check_side_weight_theorem(inst)
+        assert {v.check for v in violations} == {"quarter-root", "half-pair"}
+        table = DpTable(inst)
+        for v in violations:
+            branch = main_branch(build_tree(v.sid, lambda sid: first_cut(table, sid)), inst)
+            sws = (side_weight(branch[0], inst), side_weight(branch[1], inst))
+            assert (v.sw_root, v.sw_next, v.member_weight) == sws + (inst.sub_weight(*v.sid),)
 
     def test_marginal_advantage_flip(self):
         out = marginal_advantage_check()
