@@ -135,13 +135,14 @@ def _evaluate(root, expand, memo: dict):
     return value
 
 
-def _memo_tree(inst: WeightedInstance, memo: dict[int, int], base: int) -> Node:
-    """Optimal tree of a top-down solve, rebuilt from the costs in its
-    memo, which is keyed by member-count state (i·base + j)·base + m."""
-    pc = inst._prefix[1]
+def _memo_tree(inst: WeightedInstance, memo: dict[int, int], key) -> Node:
+    """Optimal tree of a top-down solve, rebuilt through ``_step`` from
+    the costs in its memo.  ``key(i, j, h)`` maps a subproblem to the
+    solver's memo key: ``solve_pruned`` shrinks it to its member run,
+    ``solve_bounded_log`` keeps it positional."""
 
     def cost(i: int, j: int, h: int) -> int:
-        return memo[(i * base + j) * base + pc[h][j] - pc[h][i - 1]]
+        return memo[key(i, j, h)]
 
     return build_tree((1, inst.n, inst.n), lambda sid: _step(inst, cost, sid))
 
@@ -149,12 +150,13 @@ def _memo_tree(inst: WeightedInstance, memo: dict[int, int], base: int) -> Node:
 def solve_pruned(
     inst: WeightedInstance, record_branches: bool = False
 ) -> tuple[int, Node, SolveStats]:
-    """Threshold-pruned exact solve.
+    """Threshold-pruned exact solve over member runs.
 
-    A state (i, j, m) is the m lightest keys of [i, j], stored as the
-    int (i·base + j)·base + m; one bisection finds its level h, the rank
-    of its heaviest member, and ``branches`` is keyed by (i, j, h).  Cut
-    scans cover only the quarter-refined positions.  When neither
+    A state (a, b, m) is a member run: the m lightest keys of [a, b],
+    with a and b among them, stored as the int (a·base + b)·base + m;
+    one bisection finds its level h, the rank of its heaviest member,
+    and ``branches`` is keyed by (a, b, h).  Cut scans cover one cut per
+    member gap that meets the quarter-refined positions.  When neither
     threshold fires that range is never empty: only a member above half
     of the member weight empties it, and such a member meets the 3/7
     rule, so an empty range raises ``TwocstError``.
@@ -168,34 +170,41 @@ def solve_pruned(
     base = n + 2
 
     def solve(key: int):
-        ij, m = divmod(key, base)
-        i, j = divmod(ij, base)
+        ab, m = divmod(key, base)
+        a, b = divmod(ab, base)
         stats.subproblems_evaluated += 1
-        holes = (j - i + 1) - m
+        holes = (b - a + 1) - m
         if holes > stats.max_hole_depth:
             stats.max_hole_depth = holes
         if m <= 1:
             return 0
-        h = _level(pc, i, j, m, n)
+        h = _level(pc, a, b, m, n)
         pc_h = pc[h]
-        pc_i = pc_h[i - 1]
         pw_h = pw[h]
-        w = pw_h[j] - pw_h[i - 1]
-        wmax = w_arr[asc[h]]
+        w = pw_h[b] - pw_h[a - 1]
+        top = asc[h]
+        wmax = w_arr[top]
         split = None
         if 7 * wmax >= 3 * w:
             stats.eq_prunes += 1
             branch = "eq-only"
         else:
-            lo, hi = _quarter(pw_h, i, j)
+            lo, hi = _quarter(pw_h, a, b)
             if lo >= hi:
-                raise TwocstError(f"empty quarter range below the 3/7 threshold at {(i, j, h)}")
-            for l in range(lo, hi):
-                m_l = pc_h[l] - pc_i
-                v = (yield (i * base + l) * base + m_l) + (yield ((l + 1) * base + j) * base + m - m_l)
+                raise TwocstError(f"empty quarter range below the 3/7 threshold at {(a, b, h)}")
+            # the member ending each gap that meets [lo, hi), then the
+            # member after the last one: gap g lies between ends[g] and
+            # ends[g + 1] and leaves k + g members on its left
+            ends = [bisect_left(pc_h, pc_h[lo], a, lo)]
+            ends += [l for l in range(lo + 1, hi) if pc_h[l] != pc_h[l - 1]]
+            ends.append(bisect_left(pc_h, pc_h[hi - 1] + 1, hi, b))
+            k = pc_h[lo] - pc_h[a - 1]
+            left = a * base
+            for g in range(len(ends) - 1):
+                v = (yield (left + ends[g]) * base + k + g) + (yield (ends[g + 1] * base + b) * base + m - k - g)
                 if split is None or v < split:
                     split = v
-            stats.cutpoints_scanned += hi - lo
+            stats.cutpoints_scanned += len(ends) - 1
             if 4 * wmax < w:
                 stats.lt_prunes += 1
                 branch = "lt-only"
@@ -203,14 +212,24 @@ def solve_pruned(
                 branch = "both"
         eq_rest = None
         if branch != "lt-only":
-            eq_rest = yield key - 1
+            # the rest keeps the run unless the heaviest member ends it
+            if top == a:
+                a = bisect_left(pc_h, pc_h[a] + 1, a + 1, b)
+            elif top == b:
+                b = bisect_left(pc_h, pc_h[b] - 1, a, b)
+            eq_rest = yield (a * base + b) * base + m - 1
         if stats.branches is not None:
-            stats.branches[(i, j, h)] = branch
+            stats.branches[(a, b, h)] = branch
         if eq_rest is not None and (split is None or eq_rest <= split):
             return w + eq_rest
         return w + split
 
-    return _evaluate((base + n) * base + n, solve, memo), _memo_tree(inst, memo, base), stats
+    def run_key(i: int, j: int, h: int) -> int:
+        row = pc[h]
+        a = bisect_left(row, row[i - 1] + 1, i, j)
+        return (a * base + bisect_left(row, row[j], a, j)) * base + row[j] - row[i - 1]
+
+    return _evaluate((base + n) * base + n, solve, memo), _memo_tree(inst, memo, run_key), stats
 
 
 def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
@@ -271,7 +290,11 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     cap = ceil(log(n * big_r) / log(4 / 3)) + 1 if n * big_r > 1 else 1
     if stats.max_hole_depth > cap:
         raise TwocstError(f"hole depth {stats.max_hole_depth} exceeded the log bound {cap}")
-    return total, _memo_tree(inst, memo, base), stats
+
+    def positional_key(i: int, j: int, h: int) -> int:
+        return (i * base + j) * base + pc[h][j] - pc[h][i - 1]
+
+    return total, _memo_tree(inst, memo, positional_key), stats
 
 
 def _interval_costs(
@@ -348,7 +371,7 @@ def solve_bounded_const(
     n = inst.n
     if limit is None:
         limit = max(inst.weights)
-    if not isinstance(limit, int) or limit < 1:
+    if type(limit) is not int or limit < 1:
         raise PreconditionError(f"weight bound must be a positive int, got {limit!r}")
     for k, w in enumerate(inst.weights, start=1):
         if not 1 <= w <= limit:

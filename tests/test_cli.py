@@ -315,7 +315,7 @@ class TestBench:
         with out_path.open() as f:
             rows = list(csv.DictReader(f))
         assert rows[0]["instance"] == "hard-n14"
-        assert rows[0]["subproblems"] == "493"
+        assert rows[0]["subproblems"] == "169"
 
 
 class TestGenerate:

@@ -107,18 +107,19 @@ class TestCounters:
 
     def test_hard_family_frozen_counters(self):
         _best, _tree, stats = solve_pruned(hard_instance(28))
-        assert stats.subproblems_evaluated == 3593
-        assert stats.cutpoints_scanned == 3976
-        assert stats.eq_prunes == 2858
+        assert stats.subproblems_evaluated == 969
+        assert stats.cutpoints_scanned == 2063
+        assert stats.eq_prunes == 708
         assert stats.lt_prunes == 0
 
     # (subproblems_evaluated, cutpoints_scanned, eq_prunes, lt_prunes,
-    # max_hole_depth), recorded before the solvers read the level prefix
-    # rows; a change in how much work a state does must not move them
+    # max_hole_depth); solve_pruned's rows count member runs and member
+    # gaps, solve_bounded_log's positional states and cuts, and a change
+    # in how much work one state does must not move them
     FROZEN = [
-        (solve_pruned, "random", (2230, 7784, 700, 762, 9)),
-        (solve_pruned, "pattern", (1966, 7994, 502, 799, 5)),
-        (solve_pruned, "geometric", (2109, 1260, 777, 0, 39)),
+        (solve_pruned, "random", (1388, 7360, 281, 762, 5)),
+        (solve_pruned, "pattern", (1299, 7616, 224, 799, 2)),
+        (solve_pruned, "geometric", (111, 70, 39, 0, 0)),
         (solve_bounded_log, "random", (2796, 38324, 0, 1441, 8)),
         (solve_bounded_log, "pattern", (2478, 37179, 0, 1485, 4)),
     ]
@@ -136,14 +137,14 @@ class TestCounters:
         got = (s.subproblems_evaluated, s.cutpoints_scanned, s.eq_prunes, s.lt_prunes, s.max_hole_depth)
         assert got == expected
 
-    # (states recorded, sha256 of "(i, j, h) branch" lines in insertion
-    # order), recorded before the solvers keyed their states on member
-    # counts; the order is the order in which states finish
+    # (states recorded, sha256 of "(a, b, h) branch" lines in insertion
+    # order), one line per member run; the order is the order in which
+    # states finish
     FROZEN_BRANCHES = {
-        "random": (1867, "51634fa80bcc58e8a1cc47b5278ae699b091e5a6ca5b9670f2632c9ee7b3b9a7"),
-        "pattern": (1626, "b17e212539f3702e2bbd871672d9782b6efaf86a171c145d2df4884cc798ff3a"),
-        "geometric": (1407, "4f520e2c79dfdd9ce83be9ca26f1dd0f0cac8e23b703a11565789e2fa6492f04"),
-        "hard": (3255, "bc81f80162635947104f769885e5935f0276503010c89ab3440d5793b11cb1e4"),
+        "random": (1331, "b3a881c8db94f99b952d8bad557820b36659edb6173e450e8d2cf0e93e1430c8"),
+        "pattern": (1240, "095030d12c5c4fe6212a3d553b865332417c1b056238c70dfc8715e2e7d8117a"),
+        "geometric": (74, "c5b0ba48800fa8e1b559a716d412cf55485c1fcf5038b4591f1fb26634c0d7a2"),
+        "hard": (944, "98c16a75a96e5b3d07574bce71b0a73fccb1bde57b405da05010553ba830e5e4"),
     }
 
     @pytest.mark.parametrize("family", sorted(FROZEN_BRANCHES))
@@ -152,6 +153,20 @@ class TestCounters:
         lines = [f"{sid} {branch}" for sid, branch in s.branches.items()]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == self.FROZEN_BRANCHES[family]
+
+    @pytest.mark.parametrize("family", ["hard", "random"])
+    def test_states_are_member_runs(self, family):
+        # every state starts and ends on a member, so no two states
+        # hold the same keys at different positions
+        inst = self.FAMILIES[family]()
+        s = solve_pruned(inst, record_branches=True)[2]
+        assert s.branches
+        holed = [
+            (i, j, h)
+            for i, j, h in s.branches
+            if (inst.first_member(i, j, h), inst.last_member(i, j, h)) != (i, j)
+        ]
+        assert holed == []
 
     def test_branch_recording(self):
         _best, _tree, stats = solve_pruned(new_instance([2, 1, 2, 1]), record_branches=True)
@@ -191,6 +206,11 @@ class TestBoundedConst:
             solve_bounded_const(new_instance([1, 0, 2]), 3)
         with pytest.raises(PreconditionError):
             solve_bounded_const(new_instance([1, 9]), 3)
+
+    def test_rejects_bool_limit(self):
+        # True is an int subclass; as a bound it must not pass for 1
+        with pytest.raises(PreconditionError):
+            solve_bounded_const(new_instance([1, 1]), True)
 
     def test_default_limit_is_max_weight(self):
         best, tree, _stats = solve_bounded_const(new_instance([2, 3, 1, 3]))

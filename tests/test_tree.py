@@ -13,6 +13,7 @@ from twocst import (
     Leaf,
     LtNode,
     TwocstError,
+    brute_force_optimal,
     cost,
     depth_map,
     from_json,
@@ -230,6 +231,9 @@ PINNED_TREES = {
     "bounded-const": "8a6bf30044636cde287379e0bbb7acc57dbf03482029028d4d2f931acc6e1d69",
 }
 PINNED_CHOICES = "f47b10b1b69e5c02cdb3f413baaf549115bf3fa155e85a2b634662120da8e750"
+# the same digest over the oracle's trees on the pin instances with
+# n <= 12, recorded before any rewrite of the oracle
+PINNED_ORACLE = "5e83218b2694480f1a13a0fc70dbcf5beb128d7eeaa615a2ca1f506f28f07ef8"
 
 
 def test_solver_trees_are_pinned():
@@ -269,3 +273,13 @@ def test_choices_and_subtrees_are_pinned():
                     lines.append(f"{ws} {(i, j, h)} {table.choice_at((i, j, h))} {sub}")
     assert len(lines) == 6275
     assert _digest(lines) == PINNED_CHOICES
+
+
+def test_oracle_trees_are_pinned():
+    lines = [
+        _tree_line(brute_force_optimal(new_instance(ws))[1])
+        for ws in _pin_weights()
+        if len(ws) <= 12
+    ]
+    assert len(lines) == 27
+    assert _digest(lines) == PINNED_ORACLE
