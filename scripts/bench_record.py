@@ -37,12 +37,15 @@ def run_bench(checkout: Path, command: list[str], workload: str, seed: int, seco
 
 def summary(values: list[float]) -> dict:
     """Median and interquartile range of one metric over the seeds."""
-    q1, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else (values[0], values[0])
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
 def commit_of(checkout: Path) -> str | None:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    except OSError:
+        return None
     return done.stdout.strip() if done.returncode == 0 else None
 
 

@@ -8,7 +8,7 @@ on their admissible inputs:
   equality alone; below a strict quarter it resolves by cuts alone; in
   between both branches are explored.  Cut scans are restricted to the
   quarter-refined interval, which any optimal cut must lie in.
-* ``solve_bounded_log``: the same states, read as (interval, hole
+* ``solve_bounded_log``: positional states read as (interval, hole
   count); equality removals are only explored while the removed key
   keeps a quarter of the remaining weight, capping hole depth
   logarithmically.  Needs strictly positive weights.
@@ -21,20 +21,26 @@ Each solver keeps only costs: its tree is rebuilt from them with
 ``tree.build_tree`` through ``dp_core._step``, the one rule for what an
 optimal tree does first.
 
-The two top-down solvers share one state space: (i, j, m), the m
-lightest keys of [i, j], stored as one int.  A cut at l leaves
+A top-down state (i, j, m) is the m lightest keys of [i, j], stored as
+one int.  ``solve_bounded_log`` keeps states positional, since its
+hole-depth bound counts every removed key of [i, j]: a cut at l leaves
 (i, l, m_l) and (l+1, j, m − m_l), with m_l the members up to l, and
-equality leaves (i, j, m − 1).  Each state finds its level h, the rank
-of its heaviest member, with one bisection over the instance's level
-prefix rows and reads its weight and cut range from row h, never from
-a scan of the state's interval: a state costs O(log n) plus O(1) per
-cut in its range, and the rows take O(n²) memory, as in ``solve_full``.
+equality leaves (i, j, m − 1).  ``solve_pruned`` solves each member
+set once, as ``solve_full`` does: its states are member runs (a, b, m),
+whose first and last keys a and b are members.  With p_k the k-th
+member, the one cut it scans in gap k leaves (a, p_k, k) and
+(p_{k+1}, b, m − k), and equality leaves (a, b, m − 1), shrunk to the
+next member only when the heaviest member is a or b.  Each state finds
+its level h, the rank of its heaviest member, with one bisection over
+the instance's level prefix rows and reads its weight and cut range
+from row h, never from a scan of the state's interval: a state costs
+O(log n) plus its cuts, and the rows take O(n²) memory, as in
+``solve_full``.
 
-Work counters deliberately count each (state, cut position) evaluation
-once, with no deduplication of states that share a member set at
-different positions: the counters are the evidence for how much work
-the pruned recurrence really does, so the recursion shape must not be
-collapsed behind their back.
+Work counters count the work each solver does: ``solve_pruned`` counts
+member runs and member gaps, as ``solve_full`` counts its cells and
+gaps, and ``solve_bounded_log`` counts positional states and cut
+positions.
 """
 
 from __future__ import annotations
@@ -56,11 +62,18 @@ class SolveStats:
     """Exact work counters for one solve.
 
     ``subproblems_evaluated`` counts memo misses; ``cutpoints_scanned``
-    counts (state, cut position) pairs examined; ``eq_prunes`` counts
-    states resolved by equality alone (cut branch skipped);
-    ``lt_prunes`` counts states resolved by cuts alone (equality branch
-    skipped).  ``max_hole_depth`` is the largest number of removed keys
-    seen in any state.  Memo hits touch no counter.
+    counts (state, cut) pairs examined; ``eq_prunes`` counts states
+    resolved by equality alone (cut branch skipped); ``lt_prunes``
+    counts states resolved by cuts alone (equality branch skipped).
+    ``max_hole_depth`` is the largest number of removed keys seen in
+    any state.  Memo hits touch no counter.
+
+    For ``solve_pruned`` a state is a member run (a, b, m) and a cut is
+    one member gap, so ``max_hole_depth`` counts the holes between a
+    run's first and last member, and ``branches`` maps each run's
+    (a, b, h) to the branch it took.  For ``solve_bounded_log`` states
+    are positional (i, j, m), cuts are positions and holes are all
+    j − i + 1 − m removed keys of [i, j].
     """
 
     subproblems_evaluated: int = 0
