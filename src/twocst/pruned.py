@@ -110,8 +110,8 @@ def refined_interval(inst: WeightedInstance, sid: tuple[int, int, int]) -> Refin
     """Quarter-balanced cut positions for a subproblem: two bisections
     of the level's monotone prefix-weight row, clamped to the cuts
     between member keys (the clamp binds only when the member weight is
-    0).  ``solve_full`` scans the member gaps of this range, one cut
-    each."""
+    0).  ``solve_full`` and ``solve_pruned`` scan the member gaps of
+    this range, one cut each."""
     i, j, h = sid
     if inst.sub_count(i, j, h) < 2:
         raise PreconditionError(f"refined interval needs at least two keys in {sid}")
@@ -205,19 +205,24 @@ def solve_pruned(
             lo, hi = _quarter(pw_h, a, b)
             if lo >= hi:
                 raise TwocstError(f"empty quarter range below the 3/7 threshold at {(a, b, h)}")
-            # the member ending each gap that meets [lo, hi), then the
-            # member after the last one: gap g lies between ends[g] and
-            # ends[g + 1] and leaves k + g members on its left
-            ends = [bisect_left(pc_h, pc_h[lo], a, lo)]
-            ends += [l for l in range(lo + 1, hi) if pc_h[l] != pc_h[l - 1]]
-            ends.append(bisect_left(pc_h, pc_h[hi - 1] + 1, hi, b))
-            k = pc_h[lo] - pc_h[a - 1]
+            # one cut per member gap that meets [lo, hi): the gap from
+            # member p, the last one at or before lo, to the next member
+            # l leaves k members on its left; the scan runs on to the
+            # first member at or after hi, which closes the last gap
+            c = pc_h[lo]
+            p = bisect_left(pc_h, c, a, lo)
+            k = c - pc_h[a - 1]
+            k0 = k
             left = a * base
-            for g in range(len(ends) - 1):
-                v = (yield (left + ends[g]) * base + k + g) + (yield (ends[g + 1] * base + b) * base + m - k - g)
-                if split is None or v < split:
-                    split = v
-            stats.cutpoints_scanned += len(ends) - 1
+            for l in range(lo + 1, bisect_left(pc_h, pc_h[hi - 1] + 1, hi, b) + 1):
+                if pc_h[l] != c:
+                    v = (yield (left + p) * base + k) + (yield (l * base + b) * base + m - k)
+                    if split is None or v < split:
+                        split = v
+                    p = l
+                    k += 1
+                    c += 1
+            stats.cutpoints_scanned += k - k0
             if 4 * wmax < w:
                 stats.lt_prunes += 1
                 branch = "lt-only"
@@ -227,10 +232,12 @@ def solve_pruned(
         if branch != "lt-only":
             # the rest keeps the run unless the heaviest member ends it
             if top == a:
-                a = bisect_left(pc_h, pc_h[a] + 1, a + 1, b)
+                eq_key = (bisect_left(pc_h, pc_h[a] + 1, a + 1, b) * base + b) * base + m - 1
             elif top == b:
-                b = bisect_left(pc_h, pc_h[b] - 1, a, b)
-            eq_rest = yield (a * base + b) * base + m - 1
+                eq_key = (a * base + bisect_left(pc_h, pc_h[b] - 1, a, b)) * base + m - 1
+            else:
+                eq_key = key - 1
+            eq_rest = yield eq_key
         if stats.branches is not None:
             stats.branches[(a, b, h)] = branch
         if eq_rest is not None and (split is None or eq_rest <= split):
