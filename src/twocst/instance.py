@@ -16,7 +16,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import ParseError, PreconditionError
 
@@ -88,22 +88,37 @@ class WeightedInstance:
         rank = self._rank
         return [k for k in range(i, j + 1) if rank[k] <= h]
 
+    def _refuse(self, i: int, j: int, h: int) -> NoReturn:
+        """The interval accessors below accept 1 <= i <= j + 1 <= n + 1
+        (j = i - 1 is the empty interval) and 0 <= h <= n, checked in one
+        chained comparison per call, so no prefix row is ever read
+        through a wrapped negative index."""
+        raise PreconditionError(f"subproblem {(i, j, h)} outside n={self.n}")
+
     def sub_weight(self, i: int, j: int, h: int) -> int:
+        if not 0 < i <= j + 1 <= self.n + 1 > h >= 0:
+            self._refuse(i, j, h)
         pw = self._prefix[0]
         return pw[h][j] - pw[h][i - 1]
 
     def sub_count(self, i: int, j: int, h: int) -> int:
+        if not 0 < i <= j + 1 <= self.n + 1 > h >= 0:
+            self._refuse(i, j, h)
         pc = self._prefix[1]
         return pc[h][j] - pc[h][i - 1]
 
     def first_member(self, i: int, j: int, h: int) -> int | None:
         """Smallest key of [i, j] with rank <= h, or None."""
+        if not 0 < i <= j + 1 <= self.n + 1 > h >= 0:
+            self._refuse(i, j, h)
         pc = self._prefix[1][h]
         k = bisect_left(pc, pc[i - 1] + 1, i, j + 1)
         return k if k <= j else None
 
     def last_member(self, i: int, j: int, h: int) -> int | None:
         """Largest key of [i, j] with rank <= h, or None."""
+        if not 0 < i <= j + 1 <= self.n + 1 > h >= 0:
+            self._refuse(i, j, h)
         pc = self._prefix[1][h]
         if pc[j] == pc[i - 1]:
             return None

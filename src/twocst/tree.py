@@ -7,7 +7,7 @@ of tests performed, which equals both the weighted leaf depth sum and
 the sum of subtree weights over internal nodes; ``cost`` computes the
 two independently and insists they agree.
 
-Every solver that produces a tree (the oracle excepted) rebuilds it
+Every solver that produces a tree rebuilds it
 with ``build_tree(root, step)``, where ``step(state)`` names the test
 heading the subtree for ``state``:
 

@@ -67,6 +67,23 @@ def test_sub_weight_matches_enumeration(ws, data):
         assert first is None and last is None
 
 
+@pytest.mark.parametrize("sid", [(0, 3, 3), (1, 4, 3), (1, 3, -1), (1, 3, 4), (3, 1, 3)])
+@pytest.mark.parametrize("accessor", ["sub_weight", "sub_count", "first_member", "last_member"])
+def test_accessors_refuse_out_of_range(accessor, sid):
+    # without the check, sub_weight(0, 3, 3) read the wrapped row[-1] and gave 0
+    with pytest.raises(PreconditionError):
+        getattr(new_instance([1, 2, 3]), accessor)(*sid)
+
+
+def test_accessors_answer_the_empty_interval():
+    inst = new_instance([1, 2, 3])
+    for i in (1, 2, 3, 4):
+        assert inst.sub_weight(i, i - 1, 3) == 0
+        assert inst.sub_count(i, i - 1, 3) == 0
+        assert inst.first_member(i, i - 1, 3) is None
+        assert inst.last_member(i, i - 1, 3) is None
+
+
 def test_restrict_reindexes():
     inst = new_instance([10, 1, 2, 3, 1, 3, 1, 11])
     sub = inst.restrict(3, 6)

@@ -50,6 +50,12 @@ class TestRefinedInterval:
         with pytest.raises(PreconditionError):
             refined_interval(inst, (1, 3, 1))
 
+    @pytest.mark.parametrize("sid", [(1, 3, -1), (1, 4, 3), (0, 3, 3)])
+    def test_out_of_range_subproblem_is_refused(self, sid):
+        # a wrapped row[-1] once answered (1, 3, -1) as level 3
+        with pytest.raises(PreconditionError, match="outside n=3"):
+            refined_interval(new_instance([1, 2, 3]), sid)
+
     def test_known_values(self):
         # equal weights: every middle-half cut is quarter-balanced
         inst = new_instance([1] * 8)
