@@ -52,7 +52,7 @@ def brute_force_optimal(
     # passed and ``rest`` those ahead: each step tries the cut between
     # pref and rest, then the equality test on rest's lowest bit.
     C = [0] * (1 << m)
-    for mask in range(3, 1 << m):
+    for mask in range(1, 1 << m):
         low = mask & -mask
         rest = mask ^ low
         if not rest:

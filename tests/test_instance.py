@@ -70,7 +70,7 @@ def test_sub_weight_matches_enumeration(ws, data):
 @pytest.mark.parametrize("sid", [(0, 3, 3), (1, 4, 3), (1, 3, -1), (1, 3, 4), (3, 1, 3)])
 @pytest.mark.parametrize("accessor", ["sub_weight", "sub_count", "first_member", "last_member"])
 def test_accessors_refuse_out_of_range(accessor, sid):
-    # without the check, sub_weight(0, 3, 3) read the wrapped row[-1] and gave 0
+    # i = 0 or h = -1 would read a prefix row's wrapped row[-1]
     with pytest.raises(PreconditionError):
         getattr(new_instance([1, 2, 3]), accessor)(*sid)
 

@@ -52,7 +52,7 @@ class TestRefinedInterval:
 
     @pytest.mark.parametrize("sid", [(1, 3, -1), (1, 4, 3), (0, 3, 3)])
     def test_out_of_range_subproblem_is_refused(self, sid):
-        # a wrapped row[-1] once answered (1, 3, -1) as level 3
+        # h = -1 and i = 0 would read a wrapped row[-1], j = n + 1 past the row
         with pytest.raises(PreconditionError, match="outside n=3"):
             refined_interval(new_instance([1, 2, 3]), sid)
 
