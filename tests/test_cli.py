@@ -318,6 +318,31 @@ class TestBench:
         assert rows[0]["subproblems"] == "169"
 
 
+class TestOutputSchema:
+    """The column order of ``bench`` and the line order of ``solve`` are
+    part of the CLI's contract, for every algorithm."""
+
+    def test_bench_columns(self, capsys):
+        code, out, _ = run(capsys, "bench", "--weights", "1,2,3", "--alg", "full")
+        assert code == 0
+        assert out.splitlines()[0].split(",") == [
+            "instance", "algorithm", "n", "scale", "cost", "root_type", "subproblems",
+            "cutpoints", "eq_prunes", "lt_prunes", "max_hole_depth", "wall_ms", "error",
+        ]
+
+    @pytest.mark.parametrize("text,exact", [("10 1 2 3 1 3 1 11\n", False), ("1/3 1/6 1/2\n", True)])
+    def test_solve_line_order(self, capsys, tmp_path, text, exact):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "solve", str(path), "pruned")
+        assert code == 0
+        keys = [line.partition("=")[0] for line in out.splitlines()]
+        assert keys == [
+            "n", "scale", "cost", *(["cost_exact"] if exact else []), "root", "subproblems",
+            "cutpoints", "eq_prunes", "lt_prunes", "max_hole_depth", "wall_ms",
+        ]
+
+
 class TestGenerate:
     def test_round_trip_through_solve(self, capsys, tmp_path):
         path = tmp_path / "g.txt"

@@ -250,7 +250,7 @@ class TestBoundedConst:
     def test_several_windows_match_full(self, ws):
         inst = new_instance(ws)
         n = inst.n
-        table, best_full, _tree = solve_full(inst)
+        table, best_full, tree_full = solve_full(inst)
         costs = hole_free_costs(inst)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
@@ -259,6 +259,8 @@ class TestBoundedConst:
         assert best == best_full
         assert validate(tree, inst).ok
         assert cost(tree, inst) == best
+        # the same tie-breaks across window seams and outer intervals
+        assert tree == tree_full
 
     def test_window_tables_build_no_tree(self, monkeypatch):
         # weights 1..2 give windows of at most 16 keys every 8 or fewer;
