@@ -41,7 +41,38 @@ from .structure import (
 from .threeway import solve_3wcst_cubic, solve_3wcst_knuth_yao
 from .tree import EqNode, Leaf, Node, to_dot, to_json
 
-ALGORITHMS = ("full", "pruned", "bounded-const", "bounded-log", "oracle", "3wcst", "3wcst-ky")
+
+def _full(inst: WeightedInstance, _limit: int | None) -> tuple[int, Node, SolveStats]:
+    table, best, tree = solve_full(inst)
+    stats = SolveStats(table.cells_computed, table.cuts_scanned, table.eq_prunes, table.lt_prunes)
+    return best, tree, stats
+
+
+def _knuth_yao(inst: WeightedInstance, _limit: int | None) -> tuple[int, None, SolveStats]:
+    best, scans = solve_3wcst_knuth_yao(inst)
+    return best, None, SolveStats(cutpoints_scanned=scans)
+
+
+# each algorithm as (instance, weight bound) -> (cost, tree or None, stats)
+SOLVERS = {
+    "full": _full,
+    "pruned": lambda inst, _limit: solve_pruned(inst),
+    "bounded-const": lambda inst, limit: solve_bounded_const(inst, limit),
+    "bounded-log": lambda inst, _limit: solve_bounded_log(inst),
+    "oracle": lambda inst, _limit: (*brute_force_optimal(inst), SolveStats()),
+    "3wcst": lambda inst, _limit: (solve_3wcst_cubic(inst), None, SolveStats()),
+    "3wcst-ky": _knuth_yao,
+}
+
+# the counter columns of ``solve`` and ``bench``, in output order, and
+# the SolveStats field each one reads
+COUNTERS = {
+    "subproblems": "subproblems_evaluated",
+    "cutpoints": "cutpoints_scanned",
+    "eq_prunes": "eq_prunes",
+    "lt_prunes": "lt_prunes",
+    "max_hole_depth": "max_hole_depth",
+}
 
 
 def _root_type(tree: Node | None) -> str:
@@ -55,35 +86,10 @@ def _root_type(tree: Node | None) -> str:
 def _run_algorithm(
     inst: WeightedInstance, algorithm: str, limit: int | None
 ) -> tuple[int, Node | None, SolveStats, float]:
-    start = time.perf_counter()
-    tree: Node | None
-    if algorithm == "full":
-        table, best, tree = solve_full(inst)
-        stats = SolveStats(
-            subproblems_evaluated=table.cells_computed,
-            cutpoints_scanned=table.cuts_scanned,
-            eq_prunes=table.eq_prunes,
-            lt_prunes=table.lt_prunes,
-        )
-    elif algorithm == "pruned":
-        best, tree, stats = solve_pruned(inst)
-    elif algorithm == "bounded-log":
-        best, tree, stats = solve_bounded_log(inst)
-    elif algorithm == "bounded-const":
-        best, tree, stats = solve_bounded_const(inst, limit)
-    elif algorithm == "oracle":
-        best, tree = brute_force_optimal(inst)
-        stats = SolveStats()
-    elif algorithm == "3wcst":
-        best = solve_3wcst_cubic(inst)
-        tree = None
-        stats = SolveStats()
-    elif algorithm == "3wcst-ky":
-        best, scans = solve_3wcst_knuth_yao(inst)
-        tree = None
-        stats = SolveStats(cutpoints_scanned=scans)
-    else:
+    if algorithm not in SOLVERS:
         raise PreconditionError(f"unknown algorithm {algorithm!r}")
+    start = time.perf_counter()
+    best, tree, stats = SOLVERS[algorithm](inst, limit)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return best, tree, stats, wall_ms
 
@@ -103,11 +109,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if inst.scale > 1:
         print(f"cost_exact={Fraction(best, inst.scale)}")
     print(f"root={_root_type(tree)}")
-    print(f"subproblems={stats.subproblems_evaluated}")
-    print(f"cutpoints={stats.cutpoints_scanned}")
-    print(f"eq_prunes={stats.eq_prunes}")
-    print(f"lt_prunes={stats.lt_prunes}")
-    print(f"max_hole_depth={stats.max_hole_depth}")
+    for column, field in COUNTERS.items():
+        print(f"{column}={getattr(stats, field)}")
     print(f"wall_ms={wall_ms:.3f}")
     return 0
 
@@ -219,54 +222,25 @@ def cmd_qi(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     algorithms = args.alg.split(",")
     for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise ParseError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
+        if algorithm not in SOLVERS:
+            raise ParseError(f"unknown algorithm {algorithm!r}; pick from {tuple(SOLVERS)}")
     grid = _instance_grid(args)
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink)
         writer.writerow(
-            (
-                "instance",
-                "algorithm",
-                "n",
-                "scale",
-                "cost",
-                "root_type",
-                "subproblems",
-                "cutpoints",
-                "eq_prunes",
-                "lt_prunes",
-                "max_hole_depth",
-                "wall_ms",
-                "error",
-            )
+            ("instance", "algorithm", "n", "scale", "cost", "root_type", *COUNTERS, "wall_ms", "error")
         )
         for label, inst in grid:
             for algorithm in algorithms:
+                head = (label, algorithm, inst.n, inst.scale)
                 try:
                     best, tree, stats, wall_ms = _run_algorithm(inst, algorithm, args.limit)
-                    writer.writerow(
-                        (
-                            label,
-                            algorithm,
-                            inst.n,
-                            inst.scale,
-                            best,
-                            _root_type(tree),
-                            stats.subproblems_evaluated,
-                            stats.cutpoints_scanned,
-                            stats.eq_prunes,
-                            stats.lt_prunes,
-                            stats.max_hole_depth,
-                            f"{wall_ms:.3f}",
-                            "",
-                        )
-                    )
                 except TwocstError as exc:
-                    writer.writerow(
-                        (label, algorithm, inst.n, inst.scale, "", "", "", "", "", "", "", "", str(exc))
-                    )
+                    writer.writerow((*head, "", "", *[""] * len(COUNTERS), "", str(exc)))
+                    continue
+                counters = [getattr(stats, field) for field in COUNTERS.values()]
+                writer.writerow((*head, best, _root_type(tree), *counters, f"{wall_ms:.3f}", ""))
     finally:
         if args.out:
             sink.close()
@@ -328,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("file")
-    p_solve.add_argument("algorithm", choices=ALGORITHMS)
+    p_solve.add_argument("algorithm", choices=SOLVERS)
     p_solve.add_argument("--limit", type=int, default=None, help="weight bound for bounded-const")
     p_solve.add_argument("--tree", default=None, help="write the optimal tree as JSON")
     p_solve.add_argument("--dot", default=None, help="write the optimal tree as Graphviz dot")

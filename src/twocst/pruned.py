@@ -17,7 +17,10 @@ on their admissible inputs:
   weight pattern, gives every interval inside a window; the intervals
   outside every window are longer than 4R keys, so cut-rooted.
 
-Each solver keeps only costs: its tree is rebuilt from them with
+Each solver keeps only costs and answers ``cost(i, j, h)`` from them:
+``solve_pruned`` from its memo of member runs, ``solve_bounded_log``
+from its positional memo and ``solve_bounded_const`` from its interval
+costs and window tables.  Its tree is rebuilt from that function with
 ``tree.build_tree`` through ``dp_core._step``, the one rule for what an
 optimal tree does first.
 
@@ -148,15 +151,9 @@ def _evaluate(root, expand, memo: dict):
     return value
 
 
-def _memo_tree(inst: WeightedInstance, memo: dict[int, int], key) -> Node:
-    """Optimal tree of a top-down solve, rebuilt through ``_step`` from
-    the costs in its memo.  ``key(i, j, h)`` maps a subproblem to the
-    solver's memo key: ``solve_pruned`` shrinks it to its member run,
-    ``solve_bounded_log`` keeps it positional."""
-
-    def cost(i: int, j: int, h: int) -> int:
-        return memo[key(i, j, h)]
-
+def _cost_tree(inst: WeightedInstance, cost) -> Node:
+    """Optimal tree for all keys, rebuilt through ``_step`` from the
+    solver's ``cost(i, j, h)``."""
     return build_tree((1, inst.n, inst.n), lambda sid: _step(inst, cost, sid))
 
 
@@ -244,12 +241,12 @@ def solve_pruned(
             return w + eq_rest
         return w + split
 
-    def run_key(i: int, j: int, h: int) -> int:
+    def cost(i: int, j: int, h: int) -> int:
         row = pc[h]
         a = bisect_left(row, row[i - 1] + 1, i, j)
-        return (a * base + bisect_left(row, row[j], a, j)) * base + row[j] - row[i - 1]
+        return memo[(a * base + bisect_left(row, row[j], a, j)) * base + row[j] - row[i - 1]]
 
-    return _evaluate((base + n) * base + n, solve, memo), _memo_tree(inst, memo, run_key), stats
+    return _evaluate((base + n) * base + n, solve, memo), _cost_tree(inst, cost), stats
 
 
 def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
@@ -311,10 +308,10 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     if stats.max_hole_depth > cap:
         raise TwocstError(f"hole depth {stats.max_hole_depth} exceeded the log bound {cap}")
 
-    def positional_key(i: int, j: int, h: int) -> int:
-        return (i * base + j) * base + pc[h][j] - pc[h][i - 1]
+    def cost(i: int, j: int, h: int) -> int:
+        return memo[(i * base + j) * base + pc[h][j] - pc[h][i - 1]]
 
-    return total, _memo_tree(inst, memo, positional_key), stats
+    return total, _cost_tree(inst, cost), stats
 
 
 def _interval_costs(
@@ -398,25 +395,25 @@ def solve_bounded_const(
             raise PreconditionError(f"weight {w} of key {k} outside [1, {limit}]")
     window = 4 * limit
     costs, stats, windows = _interval_costs(inst, window)
+    pc = inst._prefix[1]
 
-    def step(state: tuple) -> tuple:
-        """States are outer intervals (i, j), or (table, sid, offset)
-        for a subproblem of a window table whose keys sit ``offset``
-        positions into the instance."""
-        if len(state) == 3:
-            table, sid, off = state
-            ch = table.step(sid)
-            if ch[0] == "leaf":
-                return ("leaf", ch[1] + off)
-            if ch[0] == "eq":
-                return ("eq", ch[1] + off, (table, ch[2], off))
-            return ("split", ch[1] + off, (table, ch[2], off), (table, ch[3], off))
-        i, j = state
+    def cost(i: int, j: int, h: int) -> int:
+        """C[h][i][j].  A hole-free subproblem reads the interval costs;
+        any other reads the window that its left end picks, at the level
+        of that window's table holding the same members.
+
+        Every subproblem ``_step`` asks for has a window: holes appear
+        only below an equality test, and outside every window the
+        heaviest key holds under a quarter of the weight (more than
+        4·limit keys, each of weight at least 1), so ``_step`` never
+        tries equality there; and every sub-interval of a window
+        interval also lies in the window that its own left end picks.
+        """
+        row = pc[h]
+        if row[j] - row[i - 1] == j - i + 1:
+            return costs[i][j]
         s, table = windows[min((i - 1) // window, len(windows) - 1)]
-        if j < s + 2 * window:
-            return step((table, (i - s + 1, j - s + 1, table.inst.n), s - 1))
-        row = costs[i]
-        l = min(range(i, j), key=lambda l: row[l] + costs[l + 1][j])
-        return ("split", l, (i, l), (l + 1, j))
+        e = s + table.inst.n - 1
+        return table.levels[row[e] - row[s - 1]][i - s + 1][j - s + 1]
 
-    return costs[1][n], build_tree((1, n), step), stats
+    return costs[1][n], _cost_tree(inst, cost), stats
