@@ -3,16 +3,18 @@
 Runs ``perfbench/run.py`` (the command in ``BENCHMARK.json``) inside a
 checkout of the repository: for every workload, seeds 1..--seeds with
 ``--trace 0`` and one ``--trace 1`` run at seed 1.  The file holds, per
-workload, the median and interquartile range of each end-to-end metric
-over the untraced runs, the share of failed operations over all runs,
-and the exact work counters of the traced run.  Two such files, one per
-commit, can be diffed to check a performance claim.
+workload, the median and interquartile range over the untraced runs of
+every metric that perfbench records for them (the gated end-to-end
+metrics and the ungated reports, such as ``pruned_s`` or ``oracle_s``),
+the share of failed operations over all runs, and the exact work
+counters of the traced run.  Two such files, one per commit, can be
+diffed to check a performance claim.
 
     python3 scripts/bench_record.py --pr 11
     python3 scripts/bench_record.py --pr 10 --checkout ../parent --out BENCH_10.json
 
 Exits 1, after writing the file, unless every workload reports every
-end-to-end metric and no operation failed.
+end-to-end metric of ``BENCHMARK.json`` and no operation failed.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ def run_bench(checkout: Path, command: list[str], workload: str, seed: int, seco
     args = command + ["--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
     done = subprocess.run(args, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def perfbench_record(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """The full record that one perfbench run leaves in ``.perfbench_out/``."""
+    return json.loads((checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
 
 
 def summary(values: list[float]) -> dict:
@@ -64,15 +71,14 @@ def main(argv=None) -> int:
     metric_names = [m["name"] for m in spec["end_to_end"]]
     workloads = [w["name"] for w in spec["workloads"]]
 
-    values: dict[str, dict[str, list[float]]] = {w: {m: [] for m in metric_names} for w in workloads}
+    values: dict[str, dict[str, list[float]]] = {w: {} for w in workloads}
     tally = {w: [0, 0] for w in workloads}  # failed, attempted
     for seed in range(1, args.seeds + 1):
         for workload in workloads:
             result = run_bench(checkout, spec["command"], workload, seed, seconds, 0)
             print(f"{workload} seed {seed}: {json.dumps(result['metrics'])}", file=sys.stderr)
-            for name in metric_names:
-                if name in result["metrics"]:
-                    values[workload][name].append(result["metrics"][name]["value"])
+            for name, metric in perfbench_record(checkout, workload, seed, 0)["metrics"].items():
+                values[workload].setdefault(name, []).append(metric["value"])
             tally[workload][0] += result["failed"]
             tally[workload][1] += result["attempted"]
 
@@ -90,13 +96,13 @@ def main(argv=None) -> int:
         traced = run_bench(checkout, spec["command"], workload, 1, seconds, 1)
         tally[workload][0] += traced["failed"]
         tally[workload][1] += traced["attempted"]
-        full = json.loads((checkout / ".perfbench_out" / f"{workload}-seed1-trace1.json").read_text())
         failed, attempted = tally[workload]
-        entry = {name: summary(runs) for name, runs in values[workload].items() if runs}
+        # each run's own fail_share gives way to the share over all runs
+        entry = {name: summary(runs) for name, runs in values[workload].items() if name != "fail_share"}
         entry["fail_share"] = failed / attempted if attempted else 1.0
-        entry["counter_totals"] = full["counter_totals"]
+        entry["counter_totals"] = perfbench_record(checkout, workload, 1, 1)["counter_totals"]
         record["workloads"][workload] = entry
-        missing = [name for name in metric_names if len(values[workload][name]) != args.seeds]
+        missing = [name for name in metric_names if len(values[workload].get(name, [])) != args.seeds]
         if missing or entry["fail_share"] != 0:
             complete = False
             print(f"{workload}: missing {missing}, fail_share {entry['fail_share']}", file=sys.stderr)

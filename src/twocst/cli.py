@@ -57,7 +57,7 @@ def _knuth_yao(inst: WeightedInstance, _limit: int | None) -> tuple[int, None, S
 SOLVERS = {
     "full": _full,
     "pruned": lambda inst, _limit: solve_pruned(inst),
-    "bounded-const": lambda inst, limit: solve_bounded_const(inst, limit),
+    "bounded-const": solve_bounded_const,
     "bounded-log": lambda inst, _limit: solve_bounded_log(inst),
     "oracle": lambda inst, _limit: (*brute_force_optimal(inst), SolveStats()),
     "3wcst": lambda inst, _limit: (solve_3wcst_cubic(inst), None, SolveStats()),
