@@ -7,8 +7,13 @@ workload, the median and interquartile range over the untraced runs of
 every metric that perfbench records for them (the gated end-to-end
 metrics and the ungated reports, such as ``pruned_s`` or ``oracle_s``),
 the share of failed operations over all runs, and the exact work
-counters of the traced run.  Two such files, one per commit, can be
-diffed to check a performance claim.
+counters of the traced run.  Each gated metric also carries its
+``bound`` from ``BENCHMARK.json`` and is marked ``"unresolved": true``
+when its interquartile range exceeds bound × median: its runs then
+spread wider than the change it is gated on, so one such pass cannot
+tell a regression from noise.  Unresolved metrics are also printed to
+stderr.  Two such files, one per commit, can be diffed to check a
+performance claim.
 
     python3 scripts/bench_record.py --pr 11
     python3 scripts/bench_record.py --pr 10 --checkout ../parent --out BENCH_10.json
@@ -68,7 +73,7 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    metric_names = [m["name"] for m in spec["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
 
     values: dict[str, dict[str, list[float]]] = {w: {} for w in workloads}
@@ -99,10 +104,20 @@ def main(argv=None) -> int:
         failed, attempted = tally[workload]
         # each run's own fail_share gives way to the share over all runs
         entry = {name: summary(runs) for name, runs in values[workload].items() if name != "fail_share"}
+        for name, bound in bounds.items():
+            if name in entry:
+                metric = entry[name]
+                metric["bound"] = bound
+                if metric["iqr"] > bound * metric["median"]:
+                    metric["unresolved"] = True
+                    print(
+                        f"{workload}: {name} unresolved, IQR {metric['iqr']:g} over bound {bound:g} × median {metric['median']:g}",
+                        file=sys.stderr,
+                    )
         entry["fail_share"] = failed / attempted if attempted else 1.0
         entry["counter_totals"] = perfbench_record(checkout, workload, 1, 1)["counter_totals"]
         record["workloads"][workload] = entry
-        missing = [name for name in metric_names if len(values[workload].get(name, [])) != args.seeds]
+        missing = [name for name in bounds if len(values[workload].get(name, [])) != args.seeds]
         if missing or entry["fail_share"] != 0:
             complete = False
             print(f"{workload}: missing {missing}, fail_share {entry['fail_share']}", file=sys.stderr)

@@ -65,70 +65,3 @@ from .tree import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "DpTable",
-    "EqNode",
-    "GeneratorSpec",
-    "KYResult",
-    "Leaf",
-    "LtNode",
-    "MemoryBudgetError",
-    "MinimizerReport",
-    "MonotonicityViolation",
-    "Node",
-    "ParseError",
-    "PreconditionError",
-    "QiTable",
-    "RefinedInterval",
-    "SolveStats",
-    "ThresholdReport",
-    "TwocstError",
-    "ValidationReport",
-    "WeightedInstance",
-    "balanced_pattern_claims",
-    "brute_force_optimal",
-    "chain_tree",
-    "check_minimizer_monotonicity",
-    "check_side_weight_all_edges",
-    "check_side_weight_monotone",
-    "check_side_weight_theorem",
-    "check_thresholds",
-    "cost",
-    "depth_map",
-    "from_json",
-    "geometric_chain_closed_form",
-    "geometric_instance",
-    "geometric_scan",
-    "hard_instance",
-    "heavy_mid_instance",
-    "hole_free_costs",
-    "load_instance",
-    "main_branch",
-    "marginal_advantage_check",
-    "new_instance",
-    "parse_instance_text",
-    "pattern_instance",
-    "qi_table",
-    "random_instance",
-    "refined_interval",
-    "root_split_costs",
-    "side_weight",
-    "solve_3wcst_cubic",
-    "solve_3wcst_knuth_yao",
-    "solve_bounded_const",
-    "solve_bounded_log",
-    "solve_full",
-    "solve_pruned",
-    "subtree_weight",
-    "suite_counterexamples",
-    "suite_geometric",
-    "suite_oracle",
-    "suite_pattern_claims",
-    "suite_thresholds",
-    "tight4_instance",
-    "tight8_instance",
-    "to_dot",
-    "to_json",
-    "validate",
-]

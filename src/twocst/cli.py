@@ -122,19 +122,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if value is not None and value < 1:
             raise ParseError(f"{flag} must be at least 1, got {value}")
 
-    def given(value: int | None, default: int) -> int:
-        return default if value is None else value
+    def flags(**given) -> dict:
+        """The flags given on the command line; a suite's own defaults
+        stand for the rest."""
+        return {name: value for name, value in given.items() if value is not None}
 
     if suite == "counterexamples":
         results = suite_counterexamples()
     elif suite == "thresholds":
-        results = suite_thresholds(given(args.cases, 500), given(args.n, 12), given(args.seed, 0))
+        results = suite_thresholds(**flags(cases=args.cases, max_n=args.n, seed=args.seed))
     elif suite == "oracle":
-        results = suite_oracle(given(args.cases, 200), given(args.n, 8), given(args.seed, 7))
+        results = suite_oracle(**flags(cases=args.cases, max_n=args.n, seed=args.seed))
     elif suite == "pattern-claims":
-        results = suite_pattern_claims(args.p)
+        results = suite_pattern_claims(**flags(p=args.p))
     else:
-        results = suite_geometric(given(args.n, 25))
+        results = suite_geometric(**flags(n=args.n))
     ok = all(r.ok for r in results)
     print(
         json.dumps(
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cases", type=int, default=None)
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--p", type=int, default=3, help="pattern size exponent")
+    p_verify.add_argument("--p", type=int, default=None, help="pattern size exponent")
     p_verify.set_defaults(func=cmd_verify)
 
     p_qi = sub.add_parser("qi", help="write quadrangle-inequality maps (.csv and .pgm)")

@@ -81,6 +81,14 @@ def _quarter(row: list[int], i: int, j: int) -> tuple[int, int]:
     return bisect_left(row, row[i - 1] + q, i, j), bisect_right(row, row[j] - q, i, j)
 
 
+def _best_cuts(rows: list[list[int]], i: int, j: int, lo: int, hi: int) -> tuple[int, tuple[int, ...]]:
+    """Least split cost rows[i][l] + rows[l+1][j] over the cuts l in
+    [lo, hi), and every cut that attains it, in key order."""
+    vals = list(map(add, rows[i][lo:hi], [rows[l + 1][j] for l in range(lo, hi)]))
+    best = min(vals)
+    return best, tuple(l for l, v in enumerate(vals, lo) if v == best)
+
+
 def _step(inst: WeightedInstance, cost, sid: tuple[int, int, int]) -> tuple:
     """What an optimal tree for (i, j, h) does first, as a ``build_tree``
     step: ('leaf', key), ('eq', key, rest) or ('split', cut, left,
@@ -159,23 +167,12 @@ class DpTable:
         mx = inst.last_member(i, j, h)
         if mn is None or mn == mx:
             raise PreconditionError(f"no valid cut: fewer than two keys in {(i, j, h)}")
-        lo, hi = mn, mx - 1
         if inner:
-            lo, hi = max(lo, i + 1), min(hi, j - 2)
-            if lo > hi:
+            mn, mx = max(mn, i + 1), min(mx, j - 1)
+            if mn >= mx:
                 raise PreconditionError(f"no valid cut in inner range for {(i, j, h)}")
-        lvl = self.levels[h]
-        row = lvl[i]
-        best = None
-        mins: list[int] = []
-        for l in range(lo, hi + 1):
-            v = row[l] + lvl[l + 1][j]
-            if best is None or v < best:
-                best = v
-                mins = [l]
-            elif v == best:
-                mins.append(l)
-        return MinimizerReport(tuple(mins), mins[0], best)
+        best, mins = _best_cuts(self.levels[h], i, j, mn, mx)
+        return MinimizerReport(mins, mins[0], best)
 
     def step(self, sid: tuple[int, int, int]) -> tuple:
         """What an optimal tree does first here, as a ``build_tree``

@@ -15,7 +15,8 @@ on their admissible inputs:
 * ``solve_bounded_const``: for weights in [1, R]; one full DP per
   window of 8R keys, windows starting every 4R keys and cached by
   weight pattern, gives every interval inside a window; the intervals
-  outside every window are longer than 4R keys, so cut-rooted.
+  outside every window are longer than 4R keys, so cut-rooted, and
+  only their quarter-balanced cuts are scanned.
 
 Each solver keeps only costs and answers ``cost(i, j, h)`` from them:
 ``solve_pruned`` from its memo of member runs, ``solve_bounded_log``
@@ -325,10 +326,12 @@ def _interval_costs(
 
     Every interval of at most ``window`` keys lies in the window with
     the largest start at or below its left end, whose top level holds
-    its cost.  Intervals outside every window take a cut at the root,
-    which is only sound when each of them is longer than four times the
-    heaviest weight: its heaviest key then holds under a quarter of its
-    weight and never heads an optimal tree.
+    its cost.  Each interval outside every window is priced over its
+    quarter-range cuts only, which is sound when ``window`` is four
+    times the heaviest weight and every weight is at least 1: such an
+    interval is longer than 4·R keys, so its heaviest key holds under a
+    quarter of its weight, a cut heads its optimal tree, and that cut
+    lies in the quarter range, which is then non-empty.
     """
     n = inst.n
     weights = inst.weights
@@ -349,26 +352,28 @@ def _interval_costs(
             costs[r][r : e + 1] = top[r - s + 1][r - s + 1 :]
         if e == n:
             break
+    # the all-keys prefix weights alone, not the instance's O(n²) level rows
     pre = list(accumulate(weights, initial=0))
     for length in range(window + 1, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
             if j < windows[min((i - 1) // window, len(windows) - 1)][0] + 2 * window:
                 continue
+            lo, hi = _quarter(pre, i, j)
             row = costs[i]
-            best = min(map(add, row[i:j], [costs[l + 1][j] for l in range(i, j)]))
+            best = min(map(add, row[lo:hi], [costs[l + 1][j] for l in range(lo, hi)]))
             row[j] = pre[j] - pre[i - 1] + best
             stats.subproblems_evaluated += 1
-            stats.cutpoints_scanned += j - i
+            stats.cutpoints_scanned += hi - lo
     return costs, stats, windows
 
 
 def hole_free_costs(inst: WeightedInstance) -> list[list[int]]:
     """Interval cost matrix over all keys: costs[i][j] for 1 <= i <= j
     <= n, zero when i >= j.  With weights in [1, R] the windowed engine
-    solves windows of 8R keys every 4R keys and cuts every interval
-    outside them; a zero weight makes no length safe to cut, so then
-    one window covers all keys."""
+    solves windows of 8R keys every 4R keys and prices every interval
+    outside them over its quarter-balanced cuts; a zero weight makes no
+    length safe to cut, so then one window covers all keys."""
     window = 4 * max(inst.weights) if min(inst.weights) >= 1 else inst.n
     return _interval_costs(inst, window)[0]
 
@@ -380,8 +385,9 @@ def solve_bounded_const(
 
     Intended for small weight bounds: full-DP work is confined to
     windows of 8·limit keys every 4·limit keys, and the intervals
-    outside every window take cuts only.  The counters add the window
-    tables' cells and cuts to the outside intervals and their cuts.
+    outside every window take quarter-balanced cuts only.  The counters
+    add the window tables' cells and cuts to the outside intervals and
+    their cuts.
     Hole depth is not tracked here (windows hide it), so
     ``max_hole_depth`` stays 0.
     """

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dp_core import DpTable, _fill, root_split_costs, solve_full
+from .dp_core import DpTable, _best_cuts, _fill, root_split_costs, solve_full
 from .errors import PreconditionError
 from .instance import WeightedInstance, new_instance
 from .oracle import brute_force_optimal
@@ -499,12 +499,6 @@ def geometric_scan(n: int, gammas: list[Fraction]) -> list[dict]:
     return records
 
 
-def _min_cuts(costs: list[list[int]], i: int, j: int) -> tuple[int, ...]:
-    vals = [costs[i][l] + costs[l + 1][j] for l in range(i, j)]
-    best = min(vals)
-    return tuple(l for l, v in zip(range(i, j), vals) if v == best)
-
-
 def balanced_pattern_claims(p: int, cycle: tuple[int, ...] = (1, 3)) -> dict:
     """Exact identities for the alternating-weight family on n = 3*2^p
     keys, checked on their stated even-n bands:
@@ -525,6 +519,10 @@ def balanced_pattern_claims(p: int, cycle: tuple[int, ...] = (1, 3)) -> dict:
     costs = hole_free_costs(inst)
     lo = 2 ** (p + 1) + 2
     mid = 5 * 2 ** (p - 1)
+
+    def last_cut(i: int, j: int) -> int:
+        return _best_cuts(costs, i, j, i, j)[1][-1]
+
     identity = []
     for n in range(lo, size + 1, 2):
         lhs = costs[1][n - 1] + costs[2][n]
@@ -532,13 +530,13 @@ def balanced_pattern_claims(p: int, cycle: tuple[int, ...] = (1, 3)) -> dict:
         identity.append((n, lhs, rhs, lhs == rhs))
     left_shift = []
     for n in range(lo, mid + 1, 2):
-        lhs = _min_cuts(costs, 2, n)[-1]
-        rhs = _min_cuts(costs, 3, n)[-1] + 1
+        lhs = last_cut(2, n)
+        rhs = last_cut(3, n) + 1
         left_shift.append((n, lhs, rhs, lhs == rhs))
     prefix_shift = []
     for n in range(mid + 2, size + 1, 2):
-        lhs = _min_cuts(costs, 1, n)[-1]
-        rhs = _min_cuts(costs, 1, n - 1)[-1] - 1
+        lhs = last_cut(1, n)
+        rhs = last_cut(1, n - 1) - 1
         prefix_shift.append((n, lhs, rhs, lhs == rhs))
     rows = identity + left_shift + prefix_shift
     return {
@@ -729,7 +727,7 @@ def suite_thresholds(cases: int = 500, max_n: int = 12, seed: int = 0) -> list[C
     return out
 
 
-def suite_oracle(cases: int = 200, max_n: int = 9, seed: int = 7) -> list[CheckResult]:
+def suite_oracle(cases: int = 200, max_n: int = 8, seed: int = 7) -> list[CheckResult]:
     """Exhaustive-search agreement for the full, pruned, and hole-count
     solvers on small random instances (the hole-count solver only on
     all-positive draws, its admissible inputs)."""

@@ -1,14 +1,16 @@
 """Command-line behavior: output fields, file emission, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
 from twocst import TwocstError, from_json, hard_instance, new_instance, pattern_instance, validate
 from twocst.cli import main
-from twocst.structure import CheckResult, suite_oracle
+from twocst.structure import CheckResult, suite_geometric, suite_oracle, suite_thresholds
 
 
 def run(capsys, *argv):
@@ -179,6 +181,15 @@ class TestVerify:
         assert detail == suite_oracle(12, 8, 0)[0].detail
         assert detail != suite_oracle(12, 8, 7)[0].detail
 
+    @pytest.mark.parametrize(
+        "suite,library",
+        [("thresholds", suite_thresholds), ("oracle", suite_oracle), ("geometric", suite_geometric)],
+    )
+    def test_defaults_are_the_library_defaults(self, capsys, suite, library):
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 0
+        assert json.loads(out)["results"] == [asdict(r) for r in library()]
+
     @pytest.mark.parametrize("flag", ["--cases", "--n"])
     def test_zero_size_is_usage_error(self, capsys, flag):
         code, _, err = run(capsys, "verify", "oracle", flag, "0")
@@ -209,6 +220,34 @@ class TestQi:
         )
         assert code == 0
         assert fields(out)["red_cells"] == "74"
+
+    # sha256 of the CSV and PGM maps of three instances at n = 24
+    @pytest.mark.parametrize(
+        "flags,csv_sha,pgm_sha",
+        [
+            (
+                ["--weights", "1,10,1"],
+                "f2d197083c4170914cb36691460de2d9e955848563540d53a58c2de5da6ad155",
+                "4f51ea5e5740f06dc68045ff0e2cffcdd3becf6a21b57f143b8b0307ca466c07",
+            ),
+            (
+                ["--pattern", "1,3", "--n", "24"],
+                "b99b3ccbdad9df1b0d49fe5557ae9bcecdcc133b762b5a766fb75435d3a47db7",
+                "3dff9246fcff285796b034c0e323b3d56501d4a941be4402778b26ea4bce5dae",
+            ),
+            (
+                ["--random", "--seed", "1", "--range", "1,3", "--n", "24"],
+                "b881e1ad74d8e83c043ce4d91d7f10a5e76eb52eac10a764ea837dd7da19418d",
+                "2efa7659ef8dd7efaa299699b85e1df5d44f3e91aa2034f47408b4550c7b7459",
+            ),
+        ],
+        ids=["heavy-mid", "pattern", "random"],
+    )
+    def test_frozen_maps(self, capsys, tmp_path, flags, csv_sha, pgm_sha):
+        code, _, _ = run(capsys, "qi", *flags, "--out", str(tmp_path / "m"))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256((tmp_path / "m.pgm").read_bytes()).hexdigest() == pgm_sha
 
     def test_exactly_one_instance(self, capsys, tmp_path):
         code, _, _ = run(

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twocst import (
@@ -243,9 +243,15 @@ class TestBoundedConst:
         assert best == best_full
         assert validate(tree, inst).ok
 
-    # weights in 1..2 give windows of at most 16 keys every 4 or 8 keys,
-    # so n >= 17 always has several windows and intervals outside them
-    @given(st.lists(st.integers(min_value=1, max_value=2), min_size=17, max_size=40))
+    # weights in 1..R give windows of at most 8R keys every 4R keys or
+    # fewer, so n > 8R always has several windows and intervals outside
+    # them: n >= 17 for R = 2, n >= 25 for R = 3
+    @given(
+        st.sampled_from([(2, 17, 40), (3, 25, 60)]).flatmap(
+            lambda c: st.lists(st.integers(min_value=1, max_value=c[0]), min_size=c[1], max_size=c[2])
+        )
+    )
+    @example(list(random_instance(4, 1, 3, 60).weights))
     @settings(max_examples=25, deadline=None)
     def test_several_windows_match_full(self, ws):
         inst = new_instance(ws)
@@ -280,12 +286,13 @@ class TestBoundedConst:
         assert calls == []
 
     # (subproblems_evaluated, cutpoints_scanned): window-table cells and
-    # cuts plus the intervals outside every window and their cuts
+    # cuts plus the intervals outside every window and their
+    # quarter-range cuts
     @pytest.mark.parametrize(
         "make,expected",
         [
-            (lambda: random_instance(1, 1, 3, 60), (4395, 44363)),
-            (lambda: pattern_instance((1, 3), 60), (1646, 31159)),
+            (lambda: random_instance(1, 1, 3, 60), (4395, 31007)),
+            (lambda: pattern_instance((1, 3), 60), (1646, 17979)),
         ],
         ids=["random", "pattern"],
     )
