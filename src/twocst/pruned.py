@@ -9,9 +9,9 @@ on their admissible inputs:
   between both branches are explored.  Cut scans are restricted to the
   quarter-refined interval, which any optimal cut must lie in.
 * ``solve_bounded_log``: positional states read as (interval, hole
-  count); equality removals are only explored while the removed key
-  keeps a quarter of the remaining weight, capping hole depth
-  logarithmically.  Needs strictly positive weights.
+  count) over quarter-balanced cuts; equality removals are explored
+  only while the removed key keeps a quarter of the remaining weight,
+  capping hole depth logarithmically.  Needs positive weights.
 * ``solve_bounded_const``: for weights in [1, R]; one full DP per
   window of 8R keys, windows starting every 4R keys and cached by
   weight pattern, gives every interval inside a window; the intervals
@@ -254,12 +254,12 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
     """Exact solve over (interval, hole count) states.
 
     Holes are always the heaviest keys of the interval, so a state is
-    the member-count state (i, j, m) of ``solve_pruned``, with j − i + 1
-    − m holes and one bisection for its level.  Equality removal is
-    explored exactly when the heaviest member still holds a quarter of
-    the member weight (non-strict, the safe side of the quarter
-    threshold), which bounds hole depth by log_{4/3}(nR); the bound is
-    asserted after solving.
+    (i, j, m), the m lightest keys of [i, j], with j − i + 1 − m holes.
+    Cuts come from the quarter range.  Equality removal is explored
+    exactly when the heaviest member holds a quarter of the member
+    weight (non-strict, the safe side), which bounds hole depth by
+    log_{4/3}(nR), asserted after solving; only a member above half
+    the weight empties the quarter range, and its equality is explored.
     """
     n = inst.n
     if 0 in inst.weights:
@@ -286,18 +286,17 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
             return v  # equality on the heavier key; the rest is a leaf
         pc_h = pc[h]
         pc_i = pc_h[i - 1]
-        mn = bisect_left(pc_h, pc_i + 1, i, j + 1)
-        mx = bisect_left(pc_h, pc_h[j], i, j + 1)
+        lo, hi = _quarter(pw[h], i, j)
         split = None
-        for l in range(mn, mx):
+        for l in range(lo, hi):
             m_l = pc_h[l] - pc_i
             c = (yield (i * base + l) * base + m_l) + (yield ((l + 1) * base + j) * base + m - m_l)
             if split is None or c < split:
                 split = c
-        stats.cutpoints_scanned += mx - mn
+        stats.cutpoints_scanned += hi - lo
         if 4 * w_arr[asc[h]] >= v:
             eq_rest = yield key - 1
-            if eq_rest <= split:
+            if split is None or eq_rest <= split:
                 return v + eq_rest
         else:
             stats.lt_prunes += 1

@@ -3,6 +3,7 @@ speedups."""
 
 import hashlib
 import inspect
+import random
 import sys
 from fractions import Fraction
 
@@ -126,8 +127,8 @@ class TestCounters:
         (solve_pruned, "random", (1388, 7360, 281, 762, 5)),
         (solve_pruned, "pattern", (1299, 7616, 224, 799, 2)),
         (solve_pruned, "geometric", (111, 70, 39, 0, 0)),
-        (solve_bounded_log, "random", (2796, 38324, 0, 1441, 8)),
-        (solve_bounded_log, "pattern", (2478, 37179, 0, 1485, 4)),
+        (solve_bounded_log, "random", (2024, 8458, 0, 762, 8)),
+        (solve_bounded_log, "pattern", (1771, 8235, 0, 799, 4)),
     ]
 
     FAMILIES = {
@@ -206,6 +207,31 @@ class TestBoundedLog:
         best, _tree, stats = solve_bounded_log(new_instance([2**i for i in range(13)]))
         assert best == 16368
         assert stats.max_hole_depth == 11
+
+    def test_trees_match_full(self):
+        # weights 1..3, 1..100, powers of two up to 2^30 and ties, at
+        # every n from 11 to 30, where quarter ranges are much narrower
+        # than the member span
+        rng = random.Random(15)
+        draws = (
+            lambda: rng.randint(1, 3),
+            lambda: rng.randint(1, 100),
+            lambda: 2 ** rng.randint(0, 30),
+            lambda: rng.choice((2, 2, 7)),
+        )
+        for n in range(11, 31):
+            for draw in draws:
+                inst = new_instance([draw() for _ in range(n)])
+                _t, best_full, tree_full = solve_full(inst)
+                best, tree, _stats = solve_bounded_log(inst)
+                assert (best, tree) == (best_full, tree_full), inst.weights
+
+    def test_geometric_chain_counts(self):
+        # in a geometric 1/2 chain each state's heaviest member holds over
+        # half of its weight, so its quarter range is at most the one cut
+        # just after that member, and work grows as n² rather than n³
+        _best, _tree, s = solve_bounded_log(geometric_instance(Fraction(1, 2), 60))
+        assert (s.subproblems_evaluated, s.cutpoints_scanned, s.max_hole_depth) == (3481, 1711, 58)
 
 
 class TestBoundedConst:
@@ -303,8 +329,6 @@ class TestBoundedConst:
 
 def test_zero_heavy_weights_agree_with_full():
     # zero-weight keys produce ties everywhere; the pruned solver must not drift
-    import random
-
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(1, 10)
@@ -327,9 +351,10 @@ def test_deep_chains_leave_the_recursion_limit_alone():
         limit = sys.getrecursionlimit()
         for solve, n in ((solve_pruned, 1500), (solve_bounded_log, 60)):
             inst = geometric_instance(Fraction(1, 2), n)
-            best, _tree, _stats = solve(inst)
+            best, _tree, stats = solve(inst)
             assert best == geometric_chain_closed_form(Fraction(1, 2), n) * inst.scale
             assert sys.getrecursionlimit() == limit
+        assert stats.max_hole_depth == 58
     finally:
         sys.setrecursionlimit(before)
 
