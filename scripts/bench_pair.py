@@ -1,0 +1,90 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+Runs ``perfbench/run.py --trace 0`` (the command in each checkout's
+``BENCHMARK.json``) on a base and a changed checkout of the repository.
+Pair p runs both sides at seed p, so what a seed alone decides cancels
+within the pair; the base runs first in odd pairs and the change first in
+even ones, so neither side always gets the warmer or the quieter slot.
+Prints one JSON object: for every metric that perfbench records, each
+side's median and interquartile range (with the runs), the number of
+pairs the change won (ties count for neither side) and ``gain``, true
+when at least ten pairs ran, the change won at least nine tenths of them
+and its median beats the base's by more than the base's interquartile
+range.  Every metric of an untraced run is a cost (seconds, megabytes,
+the failed share), so lower is better for all of them.
+
+    python3 scripts/bench_pair.py --base ../parent --change . --workload lab-structure --pairs 10
+
+Exits 2 before running anything if either checkout lacks
+``BENCHMARK.json`` or ``perfbench/run.py``, and 1, after printing, if any
+run failed an operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+from bench_record import commit_of, perfbench_record, run_bench, summary
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--workload", required=True, help="workload name from BENCHMARK.json")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs of runs, seeds 1..PAIRS (default 10)")
+    ap.add_argument("--seconds", type=float, help="seconds per run (default: run_seconds of the base's BENCHMARK.json)")
+    args = ap.parse_args(argv)
+
+    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    for side, checkout in sides.items():
+        missing = [f for f in ("BENCHMARK.json", "perfbench/run.py") if not (checkout / f).is_file()]
+        if missing:
+            print(f"bench_pair: {side} checkout {checkout} lacks {', '.join(missing)}", file=sys.stderr)
+            return 2
+    specs = {side: json.loads((checkout / "BENCHMARK.json").read_text()) for side, checkout in sides.items()}
+    for side, spec in specs.items():
+        if args.workload not in {w["name"] for w in spec["workloads"]}:
+            print(f"bench_pair: {side} checkout declares no workload {args.workload!r}", file=sys.stderr)
+            return 2
+    seconds = specs["base"]["run_seconds"] if args.seconds is None else args.seconds
+
+    values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    tally = {side: {"failed": 0, "attempted": 0} for side in sides}
+    for seed in range(1, args.pairs + 1):
+        order = ("base", "change") if seed % 2 else ("change", "base")
+        for side in order:
+            checkout = sides[side]
+            result = run_bench(checkout, specs[side]["command"], args.workload, seed, seconds, 0)
+            print(f"pair {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
+            for name, metric in perfbench_record(checkout, args.workload, seed, 0)["metrics"].items():
+                values[side].setdefault(name, []).append(metric["value"])
+            tally[side]["failed"] += result["failed"]
+            tally[side]["attempted"] += result["attempted"]
+
+    metrics = {}
+    for name in sorted(values["base"].keys() & values["change"].keys()):
+        base, change = values["base"][name], values["change"][name]
+        won = sum(c < b for b, c in zip(base, change))
+        entry = {"base": summary(base), "change": summary(change), "change_won": won}
+        margin = entry["base"]["median"] - entry["change"]["median"]
+        entry["gain"] = args.pairs >= 10 and 10 * won >= 9 * args.pairs and margin > entry["base"]["iqr"]
+        metrics[name] = entry
+
+    report = {
+        "workload": args.workload,
+        "seconds": seconds,
+        "pairs": args.pairs,
+        "base": {"checkout": str(sides["base"]), "commit": commit_of(sides["base"]), **tally["base"]},
+        "change": {"checkout": str(sides["change"]), "commit": commit_of(sides["change"]), **tally["change"]},
+        "metrics": metrics,
+    }
+    print(json.dumps(report, indent=1, sort_keys=True))
+    return 1 if tally["base"]["failed"] or tally["change"]["failed"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

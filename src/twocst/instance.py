@@ -58,18 +58,25 @@ class WeightedInstance:
     @cached_property
     def _prefix(self) -> tuple[list[list[int]], list[list[int]]]:
         """(pw, pc): pw[h][k] = weight of keys <= k with rank <= h,
-        pc[h][k] the analogous count.  Row 0 is all zeros."""
+        pc[h][k] the analogous count.  Row 0 is all zeros.
+
+        Row h is row h - 1 with the suffix from key asc_perm[h-1] on
+        replaced in one slice assignment.  A count c there becomes
+        counts[c] = c + 1, read from one table built per instance, so all
+        O(n^2) count entries share the n + 1 int objects 0..n instead of
+        each holding its own."""
         n = self.n
+        counts = list(range(1, n + 1))
         pw = [[0] * (n + 1)]
         pc = [[0] * (n + 1)]
         for h in range(1, n + 1):
             k0 = self.asc_perm[h - 1]
-            wk = self._w[k0]
-            row_w = list(pw[h - 1])
-            row_c = list(pc[h - 1])
-            for k in range(k0, n + 1):
-                row_w[k] += wk
-                row_c[k] += 1
+            # slice assignment onto a copy keeps each row exactly n + 1
+            # long; extending a prefix would leave list over-allocation
+            row_w = pw[h - 1][:]
+            row_w[k0:] = map(self._w[k0].__add__, row_w[k0:])
+            row_c = pc[h - 1][:]
+            row_c[k0:] = map(counts.__getitem__, row_c[k0:])
             pw.append(row_w)
             pc.append(row_c)
         return pw, pc

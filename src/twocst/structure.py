@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .dp_core import DpTable, _best_cuts, _fill, root_split_costs, solve_full
 from .errors import PreconditionError
@@ -283,6 +284,7 @@ def check_minimizer_monotonicity(
     if table is None:
         table = _fill(inst)
 
+    @cache  # sandwich mode asks for an interval up to 3 times, diagonal 2
     def mins(i: int, j: int) -> tuple[int, ...] | None:
         try:
             return table.minimizers_at((i, j, n), inner=inner).minimizers
@@ -426,6 +428,7 @@ def check_side_weight_theorem(inst: WeightedInstance) -> list[SideWeightViolatio
     table = _fill(inst)
     asc = inst.asc_perm
 
+    @cache  # a main-branch child is often a visited subproblem too
     def resolve(sid: tuple[int, int, int]) -> tuple[int, tuple[int, int, int] | None]:
         """(side weight, main-branch child) of the tree at ``sid``, by the
         rules of ``tree.side_weight`` and ``tree.main_branch``."""

@@ -1,5 +1,6 @@
 """Instance construction, parsing, and rank bookkeeping."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,12 @@ from twocst.errors import ParseError
 from twocst.instance import load_instance, parse_weight_token
 
 WEIGHTS = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=12)
+# zeros and ties among small weights, or weights near 2**30
+WIDE_WEIGHTS = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=14),
+    st.lists(st.integers(min_value=2**30 - 3, max_value=2**30 + 3), min_size=1, max_size=14),
+    st.lists(st.sampled_from([0, 1, 2**30]), min_size=1, max_size=14),
+)
 
 
 def test_basic_fields():
@@ -65,6 +72,30 @@ def test_sub_weight_matches_enumeration(ws, data):
         assert (first, last) == (keys[0], keys[-1])
     else:
         assert first is None and last is None
+
+
+@given(WIDE_WEIGHTS)
+def test_prefix_rows_match_their_definition(ws):
+    n = len(ws)
+    # ranks from the definition (ascending weight, ties by key), not asc_perm
+    rank = {k: r for r, k in enumerate(sorted(range(1, n + 1), key=lambda k: (ws[k - 1], k)), start=1)}
+    pw, pc = new_instance(ws)._prefix
+    assert len(pw) == len(pc) == n + 1
+    for h in range(n + 1):
+        want_w = [sum(ws[k - 1] for k in range(1, top + 1) if rank[k] <= h) for top in range(n + 1)]
+        want_c = [sum(1 for k in range(1, top + 1) if rank[k] <= h) for top in range(n + 1)]
+        assert pw[h] == want_w
+        assert pc[h] == want_c
+
+
+def test_prefix_count_rows_share_one_int_per_count():
+    # counts past 256 lie outside CPython's cached small ints, so rows that
+    # computed their own entries would hold one int object per such entry
+    rng = random.Random(600)
+    n = 600
+    pc = new_instance([rng.randint(1, 100) for _ in range(n)])._prefix[1]
+    assert pc[n] == list(range(n + 1))
+    assert len({id(c) for row in pc for c in row}) <= n + 1
 
 
 @pytest.mark.parametrize("sid", [(0, 3, 3), (1, 4, 3), (1, 3, -1), (1, 3, 4), (3, 1, 3)])

@@ -163,6 +163,19 @@ def test_optimal_trees_have_monotone_side_weights(ws):
     assert check_side_weight_monotone(tree, inst) == []
 
 
+@given(
+    st.one_of(
+        WEIGHTS,
+        st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=12),
+        st.lists(st.integers(min_value=2**30, max_value=2**30 + 9), min_size=1, max_size=12),
+    )
+)
+def test_optimal_trees_have_side_weights_monotone_on_every_edge(ws):
+    inst = new_instance(ws)
+    _table, _best, tree = solve_full(inst)
+    assert check_side_weight_all_edges(tree, inst) == []
+
+
 def test_build_tree_is_iterative_on_deep_chains():
     depth = 100_000
 
