@@ -11,9 +11,12 @@ pairs the change won (ties count for neither side) and ``gain``, true
 when at least ten pairs ran, the change won at least nine tenths of them
 and its median beats the base's by more than the base's interquartile
 range.  Every metric of an untraced run is a cost (seconds, megabytes,
-the failed share), so lower is better for all of them.
+the failed share), so lower is better for all of them.  With ``--out``
+the same JSON is also written to a file, so a claim can be committed as
+the command's own output.  Checkouts are recorded as given on the
+command line, next to their ``git rev-parse HEAD`` where they have one.
 
-    python3 scripts/bench_pair.py --base ../parent --change . --workload lab-structure --pairs 10
+    python3 scripts/bench_pair.py --base ../parent --change . --workload lab-structure --pairs 10 --out PAIRS.json
 
 Exits 2 before running anything if either checkout lacks
 ``BENCHMARK.json`` or ``perfbench/run.py``, and 1, after printing, if any
@@ -37,9 +40,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, help="workload name from BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10, help="pairs of runs, seeds 1..PAIRS (default 10)")
     ap.add_argument("--seconds", type=float, help="seconds per run (default: run_seconds of the base's BENCHMARK.json)")
+    ap.add_argument("--out", type=Path, help="also write the JSON report to this file")
     args = ap.parse_args(argv)
 
-    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    given = {"base": args.base, "change": args.change}
+    sides = {side: checkout.resolve() for side, checkout in given.items()}
     for side, checkout in sides.items():
         missing = [f for f in ("BENCHMARK.json", "perfbench/run.py") if not (checkout / f).is_file()]
         if missing:
@@ -78,11 +83,13 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seconds": seconds,
         "pairs": args.pairs,
-        "base": {"checkout": str(sides["base"]), "commit": commit_of(sides["base"]), **tally["base"]},
-        "change": {"checkout": str(sides["change"]), "commit": commit_of(sides["change"]), **tally["change"]},
+        **{side: {"checkout": str(given[side]), "commit": commit_of(sides[side]), **tally[side]} for side in sides},
         "metrics": metrics,
     }
-    print(json.dumps(report, indent=1, sort_keys=True))
+    text = json.dumps(report, indent=1, sort_keys=True)
+    print(text)
+    if args.out:
+        args.out.write_text(text + "\n")
     return 1 if tally["base"]["failed"] or tally["change"]["failed"] else 0
 
 

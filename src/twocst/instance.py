@@ -15,6 +15,7 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, NoReturn, Sequence
 
@@ -64,17 +65,42 @@ class WeightedInstance:
         replaced in one slice assignment.  A count c there becomes
         counts[c] = c + 1, read from one table built per instance, so all
         O(n^2) count entries share the n + 1 int objects 0..n instead of
-        each holding its own."""
+        each holding its own.
+
+        A weight s there becomes s + w.  Ranks ascend by weight, so the
+        rows adding one weight value w are consecutive, and no sum in
+        them exceeds tops[w], the weight of the ranks up to the last of
+        them.  When the table vals = [0, 1, ..., total] is small next to
+        the n(n + 1)/2 row entries (16 * total <= n * n) and the slices
+        vals[w : tops[w] + 1], one per weight value, hold at most 2 * n * n
+        entries in all, s + w is read as that slice's entry s: the weight
+        rows then share the table's ints and no sum is computed.  Other
+        instances (huge, scaled, geometric or many distinct weights) keep
+        the plain sums: their table would be large next to the rows, or
+        copying their slices would cost more than the shared ints save."""
         n = self.n
         counts = list(range(1, n + 1))
+        vals = None
+        if 16 * self.total <= n * n:
+            ranked = [self._w[k] for k in self.asc_perm]
+            tops = dict(zip(ranked, accumulate(ranked)))
+            if sum(top - w + 1 for w, top in tops.items()) <= 2 * n * n:
+                vals = list(range(self.total + 1))
+        shifted, shift = [], None
         pw = [[0] * (n + 1)]
         pc = [[0] * (n + 1)]
         for h in range(1, n + 1):
             k0 = self.asc_perm[h - 1]
+            w = self._w[k0]
             # slice assignment onto a copy keeps each row exactly n + 1
             # long; extending a prefix would leave list over-allocation
             row_w = pw[h - 1][:]
-            row_w[k0:] = map(self._w[k0].__add__, row_w[k0:])
+            if vals is None:
+                row_w[k0:] = map(w.__add__, row_w[k0:])
+            else:
+                if w != shift:
+                    shifted, shift = vals[w : tops[w] + 1], w
+                row_w[k0:] = map(shifted.__getitem__, row_w[k0:])
             row_c = pc[h - 1][:]
             row_c[k0:] = map(counts.__getitem__, row_c[k0:])
             pw.append(row_w)
@@ -205,9 +231,15 @@ def parse_instance_text(text: str) -> WeightedInstance:
 
 
 def load_instance(path: str) -> WeightedInstance:
-    """Load an instance file: a JSON array or plain weights-per-line text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Load an instance file: a JSON array or plain weights-per-line text.
+
+    Every ParseError names the path, and a bad JSON entry its 0-based
+    index in the array."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if text.lstrip()[:1] == "[":
         try:
             raw = json.loads(text, parse_float=Fraction)
@@ -216,9 +248,12 @@ def load_instance(path: str) -> WeightedInstance:
         if not isinstance(raw, list):
             raise ParseError(f"{path}: JSON instance must be an array")
         vals: list[int | Fraction] = []
-        for item in raw:
+        for index, item in enumerate(raw):
             if isinstance(item, str):
-                vals.append(parse_weight_token(item))
+                try:
+                    vals.append(parse_weight_token(item))
+                except ParseError as exc:
+                    raise ParseError(f"{path}: entry {index}: {exc}") from exc
             elif isinstance(item, (int, Fraction)) and not isinstance(item, bool):
                 vals.append(item)
             else:

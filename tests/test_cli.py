@@ -124,6 +124,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", str(path), "full")
         assert code == 2
 
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff1 2 3\n")
+        code, _, err = run(capsys, "solve", str(path), "full")
+        assert code == 2
+        assert err.startswith(f"error: {path}: not UTF-8")
+
+    def test_bad_json_string_entry_names_path_and_index(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('[1, "1/0"]\n')
+        code, _, err = run(capsys, "solve", str(path), "full")
+        assert code == 2
+        assert err == f"error: {path}: entry 1: cannot parse weight '1/0'\n"
+
     @pytest.mark.parametrize("command", ["bench", "qi"])
     def test_negative_inline_weight_is_parse_error(self, capsys, tmp_path, command):
         # the same weights in a file already exit 2

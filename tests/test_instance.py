@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -96,6 +97,66 @@ def test_prefix_count_rows_share_one_int_per_count():
     pc = new_instance([rng.randint(1, 100) for _ in range(n)])._prefix[1]
     assert pc[n] == list(range(n + 1))
     assert len({id(c) for row in pc for c in row}) <= n + 1
+
+
+def test_prefix_weight_rows_share_one_int_per_value():
+    # weight sums past 256 lie outside CPython's cached small ints; here
+    # 16 * total <= n * n, so the rows read them from one table of 0..total
+    rng = random.Random(600)
+    n = 600
+    inst = new_instance([rng.randint(1, 3) for _ in range(n)])
+    pw = inst._prefix[0]
+    assert pw[n][n] == inst.total > 256
+    assert len({id(w) for row in pw for w in row}) <= inst.total + 1
+
+
+def _weights_summing_to(n, total, seed):
+    """n weights with the given total, spread out with zeros and ties."""
+    rng = random.Random(seed)
+    ws = [total // n] * n
+    for k in rng.sample(range(n), total % n):
+        ws[k] += 1
+    for _ in range(4 * n):
+        a, b = rng.randrange(n), rng.randrange(n)
+        moved = rng.randint(0, ws[a])
+        ws[a] -= moved
+        ws[b] += moved
+    return ws
+
+
+def _rows_by_definition(ws):
+    n = len(ws)
+    order = sorted(range(1, n + 1), key=lambda k: (ws[k - 1], k))
+    rank = {k: r for r, k in enumerate(order, start=1)}
+    pw = [list(accumulate((ws[k - 1] if rank[k] <= h else 0 for k in range(1, n + 1)), initial=0)) for h in range(n + 1)]
+    pc = [list(accumulate((int(rank[k] <= h) for k in range(1, n + 1)), initial=0)) for h in range(n + 1)]
+    return pw, pc
+
+
+@pytest.mark.parametrize(
+    ("ws", "shared"),
+    [
+        (_weights_summing_to(128, 128 * 128 // 16, 1), True),
+        (_weights_summing_to(128, 128 * 128 // 16 + 1, 2), False),
+        # 16 * total <= n * n both times; only the second instance's
+        # per-weight slices exceed 2 * n * n entries (about 167,000 and 457,000)
+        (random.Random(3).sample([0] * 300 + list(range(1, 101)), 400), True),
+        (random.Random(4).sample([0] * 260 + list(range(1, 141)), 400), False),
+        ([0] * 64, None),
+        ([2**40 + random.Random(5).randint(-3, 3) for _ in range(64)], None),
+    ],
+    ids=["16*total==n*n", "one-above", "distinct-1..100", "distinct-1..140", "all-zero", "near-2^40"],
+)
+def test_prefix_rows_match_their_definition_on_both_paths(ws, shared):
+    # the hypothesis test above draws n <= 14, where 16 * total <= n * n
+    # almost never holds, so these n >= 64 cases reach the shared table
+    inst = new_instance(ws)
+    assert inst._prefix == _rows_by_definition(ws)
+    if shared is not None:
+        # sums up to total > 256 share one int per value only on the table path
+        assert inst.total > 256
+        assert (len({id(w) for row in inst._prefix[0] for w in row}) <= inst.total + 1) == shared
+
 
 
 @pytest.mark.parametrize("sid", [(0, 3, 3), (1, 4, 3), (1, 3, -1), (1, 3, 4), (3, 1, 3)])
