@@ -43,8 +43,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, help="also write the JSON report to this file")
     args = ap.parse_args(argv)
 
-    given = {"base": args.base, "change": args.change}
-    sides = {side: checkout.resolve() for side, checkout in given.items()}
+    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     for side, checkout in sides.items():
         missing = [f for f in ("BENCHMARK.json", "perfbench/run.py") if not (checkout / f).is_file()]
         if missing:
@@ -83,7 +82,8 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "seconds": seconds,
         "pairs": args.pairs,
-        **{side: {"checkout": str(given[side]), "commit": commit_of(sides[side]), **tally[side]} for side in sides},
+        "base": {"checkout": str(args.base), "commit": commit_of(sides["base"]), **tally["base"]},
+        "change": {"checkout": str(args.change), "commit": commit_of(sides["change"]), **tally["change"]},
         "metrics": metrics,
     }
     text = json.dumps(report, indent=1, sort_keys=True)

@@ -82,7 +82,7 @@ class WeightedInstance:
         counts = list(range(1, n + 1))
         vals = None
         if 16 * self.total <= n * n:
-            ranked = [self._w[k] for k in self.asc_perm]
+            ranked = sorted(self.weights)
             tops = dict(zip(ranked, accumulate(ranked)))
             if sum(top - w + 1 for w, top in tops.items()) <= 2 * n * n:
                 vals = list(range(self.total + 1))

@@ -128,8 +128,11 @@ def _rows_by_definition(ws):
     n = len(ws)
     order = sorted(range(1, n + 1), key=lambda k: (ws[k - 1], k))
     rank = {k: r for r, k in enumerate(order, start=1)}
-    pw = [list(accumulate((ws[k - 1] if rank[k] <= h else 0 for k in range(1, n + 1)), initial=0)) for h in range(n + 1)]
-    pc = [list(accumulate((int(rank[k] <= h) for k in range(1, n + 1)), initial=0)) for h in range(n + 1)]
+    pw, pc = [], []
+    for h in range(n + 1):
+        members = [rank[k] <= h for k in range(1, n + 1)]
+        pw.append(list(accumulate((w if m else 0 for w, m in zip(ws, members)), initial=0)))
+        pc.append(list(accumulate(map(int, members), initial=0)))
     return pw, pc
 
 
