@@ -11,10 +11,15 @@ pairs the change won (ties count for neither side) and ``gain``, true
 when at least ten pairs ran, the change won at least nine tenths of them
 and its median beats the base's by more than the base's interquartile
 range.  Every metric of an untraced run is a cost (seconds, megabytes,
-the failed share), so lower is better for all of them.  With ``--out``
-the same JSON is also written to a file, so a claim can be committed as
-the command's own output.  Checkouts are recorded as given on the
-command line, next to their ``git rev-parse HEAD`` where they have one.
+the failed share), so lower is better for all of them.  After the pairs,
+one ``--trace 1`` run per side at seed 1 records that side's exact work
+counters (perfbench's ``counter_totals``); the report holds both and
+``equal``, true when they match, so the report also shows whether the
+change did the same work.  The traced runs' failures count with the
+rest.  With ``--out`` the same JSON is also written to a file, so a
+claim can be committed as the command's own output.  Checkouts are
+recorded as given on the command line, next to their
+``git rev-parse HEAD`` where they have one.
 
     python3 scripts/bench_pair.py --base ../parent --change . --workload lab-structure --pairs 10 --out PAIRS.json
 
@@ -69,6 +74,13 @@ def main(argv=None) -> int:
             tally[side]["failed"] += result["failed"]
             tally[side]["attempted"] += result["attempted"]
 
+    counters = {}
+    for side, checkout in sides.items():
+        traced = run_bench(checkout, specs[side]["command"], args.workload, 1, seconds, 1)
+        tally[side]["failed"] += traced["failed"]
+        tally[side]["attempted"] += traced["attempted"]
+        counters[side] = perfbench_record(checkout, args.workload, 1, 1)["counter_totals"]
+
     metrics = {}
     for name in sorted(values["base"].keys() & values["change"].keys()):
         base, change = values["base"][name], values["change"][name]
@@ -85,6 +97,7 @@ def main(argv=None) -> int:
         "base": {"checkout": str(args.base), "commit": commit_of(sides["base"]), **tally["base"]},
         "change": {"checkout": str(args.change), "commit": commit_of(sides["change"]), **tally["change"]},
         "metrics": metrics,
+        "counters": {**counters, "equal": counters["base"] == counters["change"]},
     }
     text = json.dumps(report, indent=1, sort_keys=True)
     print(text)

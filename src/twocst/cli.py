@@ -95,6 +95,8 @@ def _run_algorithm(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.algorithm != "bounded-const":
+        raise ParseError(f"--limit is the weight bound of bounded-const; {args.algorithm} takes none")
     inst = load_instance(args.file)
     best, tree, stats, wall_ms = _run_algorithm(inst, args.algorithm, args.limit)
     if (args.tree or args.dot) and tree is None:
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("file")
     p_solve.add_argument("algorithm", choices=SOLVERS)
-    p_solve.add_argument("--limit", type=int, default=None, help="weight bound for bounded-const")
+    p_solve.add_argument("--limit", type=int, default=None, help="weight bound for bounded-const; an error with any other algorithm")
     p_solve.add_argument("--tree", default=None, help="write the optimal tree as JSON")
     p_solve.add_argument("--dot", default=None, help="write the optimal tree as Graphviz dot")
     p_solve.set_defaults(func=cmd_solve)

@@ -3,48 +3,26 @@
 Three solvers, all returning the same optimal cost as the full level DP
 on their admissible inputs:
 
-* ``solve_pruned``: the threshold-pruned recurrence.  A state whose
-  heaviest member holds at least 3/7 of the member weight resolves by
-  equality alone; below a strict quarter it resolves by cuts alone; in
-  between both branches are explored.  Cut scans are restricted to the
-  quarter-refined interval, which any optimal cut must lie in.
-* ``solve_bounded_log``: positional states read as (interval, hole
-  count) over quarter-balanced cuts; equality removals are explored
-  only while the removed key keeps a quarter of the remaining weight,
-  capping hole depth logarithmically.  Needs positive weights.
+* ``solve_pruned``: the threshold-pruned recurrence over member runs.
+  A state whose heaviest member holds at least 3/7 of the member weight
+  resolves by equality alone; below a strict quarter it resolves by
+  cuts alone; in between both branches are explored.
+* ``solve_bounded_log``: the same recurrence over positional states,
+  with equality explored only while the removed key keeps a quarter of
+  the remaining weight, capping hole depth logarithmically.  Needs
+  positive weights.
 * ``solve_bounded_const``: for weights in [1, R]; one full DP per
   window of 8R keys, windows starting every 4R keys and cached by
   weight pattern, gives every interval inside a window; the intervals
   outside every window are longer than 4R keys, so cut-rooted, and
   only their quarter-balanced cuts are scanned.
 
-Each solver keeps only costs and answers ``cost(i, j, h)`` from them:
-``solve_pruned`` from its memo of member runs, ``solve_bounded_log``
-from its positional memo and ``solve_bounded_const`` from its interval
-costs and window tables.  Its tree is rebuilt from that function with
-``tree.build_tree`` through ``dp_core._step``, the one rule for what an
-optimal tree does first.
-
-A top-down state (i, j, m) is the m lightest keys of [i, j], stored as
-one int.  ``solve_bounded_log`` keeps states positional, since its
-hole-depth bound counts every removed key of [i, j]: a cut at l leaves
-(i, l, m_l) and (l+1, j, m − m_l), with m_l the members up to l, and
-equality leaves (i, j, m − 1).  ``solve_pruned`` solves each member
-set once, as ``solve_full`` does: its states are member runs (a, b, m),
-whose first and last keys a and b are members.  With p_k the k-th
-member, the one cut it scans in gap k leaves (a, p_k, k) and
-(p_{k+1}, b, m − k), and equality leaves (a, b, m − 1), shrunk to the
-next member only when the heaviest member is a or b.  Each state finds
-its level h, the rank of its heaviest member, with one bisection over
-the instance's level prefix rows and reads its weight and cut range
-from row h, never from a scan of the state's interval: a state costs
-O(log n) plus its cuts, and the rows take O(n²) memory, as in
-``solve_full``.
-
-Work counters count the work each solver does: ``solve_pruned`` counts
-member runs and member gaps, as ``solve_full`` counts its cells and
-gaps, and ``solve_bounded_log`` counts positional states and cut
-positions.
+The first two share one memoized body, ``_top_down``, whose docstring
+describes their states; every solver scans only the quarter-refined
+cuts, which any optimal cut must lie in.  Each solver keeps only costs
+and answers ``cost(i, j, h)`` from them; its tree is rebuilt from that
+function with ``tree.build_tree`` through ``dp_core._step``, the one
+rule for what an optimal tree does first.
 """
 
 from __future__ import annotations
@@ -65,19 +43,13 @@ from .tree import Node, build_tree
 class SolveStats:
     """Exact work counters for one solve.
 
-    ``subproblems_evaluated`` counts memo misses; ``cutpoints_scanned``
-    counts (state, cut) pairs examined; ``eq_prunes`` counts states
-    resolved by equality alone (cut branch skipped); ``lt_prunes``
-    counts states resolved by cuts alone (equality branch skipped).
-    ``max_hole_depth`` is the largest number of removed keys seen in
-    any state.  Memo hits touch no counter.
-
-    For ``solve_pruned`` a state is a member run (a, b, m) and a cut is
-    one member gap, so ``max_hole_depth`` counts the holes between a
-    run's first and last member, and ``branches`` maps each run's
-    (a, b, h) to the branch it took.  For ``solve_bounded_log`` states
-    are positional (i, j, m), cuts are positions and holes are all
-    j − i + 1 − m removed keys of [i, j].
+    ``subproblems_evaluated`` counts states solved (memo misses or
+    table cells); ``cutpoints_scanned`` counts (state, cut) pairs
+    examined; ``eq_prunes`` and ``lt_prunes`` count states resolved by
+    equality alone or by cuts alone; ``max_hole_depth`` is the most
+    removed keys of any state.  ``_top_down`` says what a state, a cut
+    and a hole are for the two top-down solvers, and ``branches`` is
+    ``solve_pruned``'s optional map of each member run to its branch.
     """
 
     subproblems_evaluated: int = 0
@@ -158,25 +130,51 @@ def _cost_tree(inst: WeightedInstance, cost) -> Node:
     return build_tree((1, inst.n, inst.n), lambda sid: _step(inst, cost, sid))
 
 
-def solve_pruned(
-    inst: WeightedInstance, record_branches: bool = False
-) -> tuple[int, Node, SolveStats]:
-    """Threshold-pruned exact solve over member runs.
+def _top_down(inst: WeightedInstance, runs: bool, stats: SolveStats):
+    """Optimal cost of all keys by the memoized top-down recurrence, and
+    ``cost(i, j, h)`` read from its memo.
 
-    A state (a, b, m) is a member run: the m lightest keys of [a, b],
-    with a and b among them, stored as the int (a·base + b)·base + m;
-    one bisection finds its level h, the rank of its heaviest member,
-    and ``branches`` is keyed by (a, b, h).  Cut scans cover one cut per
-    member gap that meets the quarter-refined positions.  When neither
-    threshold fires that range is never empty: only a member above half
-    of the member weight empties it, and such a member meets the 3/7
-    rule, so an empty range raises ``TwocstError``.
+    A state is the m lightest keys of [i, j], stored as the int
+    (i·base + j)·base + m.  It finds its level h, the rank of its
+    heaviest member, with one bisection over the instance's level prefix
+    rows and reads its weight w and its quarter range from row h, never
+    from a scan of the state's interval: a state costs O(log n) plus its
+    cuts, and the rows take O(n²) memory, as in ``solve_full``.  Below a
+    strict quarter (4·wmax < w) a state takes cuts alone, and the
+    equality branch wins ties with the best cut.
+
+    With ``runs`` (``solve_pruned``) states are member runs (a, b, m),
+    whose first and last keys are members, so each member set is solved
+    once, as in ``solve_full``.  With p_k the k-th member, the one cut
+    scanned in each member gap k that meets the quarter range leaves
+    (a, p_k, k) and (p_{k+1}, b, m − k), and equality leaves (a, b, m − 1),
+    shrunk to the next member only when the heaviest member is a or b.
+    At or above 3/7 of the member weight (7·wmax ≥ 3·w) equality alone
+    resolves the state.  Below it the quarter range is never empty, as
+    only a member above half of the member weight empties it, so an empty
+    range raises ``TwocstError``.  Holes count the non-members between a
+    run's ends, and ``stats.branches``, when a dict, maps each run's
+    (a, b, h) to the branch it took.
+
+    Without ``runs`` (``solve_bounded_log``) states stay positional, since
+    the hole-depth bound counts every removed key of [i, j]: a cut at
+    every position l of the quarter range leaves (i, l, m_l) and
+    (l+1, j, m − m_l), with m_l the members up to l, equality leaves
+    (i, j, m − 1), and a two-member state takes equality on its heavier
+    key.  Equality is explored whenever the heaviest member holds a
+    quarter of the weight, which bounds hole depth by log_{4/3}(nR); only
+    a member above half of the weight empties the quarter range, and its
+    equality is explored.
+
+    ``stats`` counts memo misses as ``subproblems_evaluated``, cuts
+    scanned, states resolved by equality alone (``eq_prunes``) or by cuts
+    alone (``lt_prunes``), and the most holes of any state.  Memo hits
+    touch no counter.
     """
     n = inst.n
     w_arr = inst._w
     asc = (0,) + inst.asc_perm
     pw, pc = inst._prefix
-    stats = SolveStats(branches={} if record_branches else None)
     memo: dict[int, int] = {}
     base = n + 2
 
@@ -193,34 +191,45 @@ def solve_pruned(
         pc_h = pc[h]
         pw_h = pw[h]
         w = pw_h[b] - pw_h[a - 1]
+        if m == 2 and not runs:
+            return w  # equality on the heavier key; the rest is a leaf
         top = asc[h]
         wmax = w_arr[top]
         split = None
-        if 7 * wmax >= 3 * w:
+        if runs and 7 * wmax >= 3 * w:
             stats.eq_prunes += 1
             branch = "eq-only"
         else:
             lo, hi = _quarter(pw_h, a, b)
-            if lo >= hi:
-                raise TwocstError(f"empty quarter range below the 3/7 threshold at {(a, b, h)}")
-            # one cut per member gap that meets [lo, hi): the gap from
-            # member p, the last one at or before lo, to the next member
-            # l leaves k members on its left; the scan runs on to the
-            # first member at or after hi, which closes the last gap
-            c = pc_h[lo]
-            p = bisect_left(pc_h, c, a, lo)
-            k = c - pc_h[a - 1]
-            k0 = k
-            left = a * base
-            for l in range(lo + 1, bisect_left(pc_h, pc_h[hi - 1] + 1, hi, b) + 1):
-                if pc_h[l] != c:
-                    v = (yield (left + p) * base + k) + (yield (l * base + b) * base + m - k)
+            if not runs:
+                pc_a = pc_h[a - 1]
+                for l in range(lo, hi):
+                    m_l = pc_h[l] - pc_a
+                    v = (yield (a * base + l) * base + m_l) + (yield ((l + 1) * base + b) * base + m - m_l)
                     if split is None or v < split:
                         split = v
-                    p = l
-                    k += 1
-                    c += 1
-            stats.cutpoints_scanned += k - k0
+                stats.cutpoints_scanned += hi - lo
+            elif lo >= hi:
+                raise TwocstError(f"empty quarter range below the 3/7 threshold at {(a, b, h)}")
+            else:
+                # one cut per member gap that meets [lo, hi): the gap from
+                # member p, the last one at or before lo, to the next member
+                # l leaves k members on its left; the scan runs on to the
+                # first member at or after hi, which closes the last gap
+                c = pc_h[lo]
+                p = bisect_left(pc_h, c, a, lo)
+                k = c - pc_h[a - 1]
+                k0 = k
+                left = a * base
+                for l in range(lo + 1, bisect_left(pc_h, pc_h[hi - 1] + 1, hi, b) + 1):
+                    if pc_h[l] != c:
+                        v = (yield (left + p) * base + k) + (yield (l * base + b) * base + m - k)
+                        if split is None or v < split:
+                            split = v
+                        p = l
+                        k += 1
+                        c += 1
+                stats.cutpoints_scanned += k - k0
             if 4 * wmax < w:
                 stats.lt_prunes += 1
                 branch = "lt-only"
@@ -228,10 +237,10 @@ def solve_pruned(
                 branch = "both"
         eq_rest = None
         if branch != "lt-only":
-            # the rest keeps the run unless the heaviest member ends it
-            if top == a:
+            # a run's rest keeps the run unless the heaviest member ends it
+            if runs and top == a:
                 eq_key = (bisect_left(pc_h, pc_h[a] + 1, a + 1, b) * base + b) * base + m - 1
-            elif top == b:
+            elif runs and top == b:
                 eq_key = (a * base + bisect_left(pc_h, pc_h[b] - 1, a, b)) * base + m - 1
             else:
                 eq_key = key - 1
@@ -244,74 +253,43 @@ def solve_pruned(
 
     def cost(i: int, j: int, h: int) -> int:
         row = pc[h]
-        a = bisect_left(row, row[i - 1] + 1, i, j)
-        return memo[(a * base + bisect_left(row, row[j], a, j)) * base + row[j] - row[i - 1]]
+        m = row[j] - row[i - 1]
+        if runs:
+            # the member run holding the same keys
+            i = bisect_left(row, row[i - 1] + 1, i, j)
+            j = bisect_left(row, row[j], i, j)
+        return memo[(i * base + j) * base + m]
 
-    return _evaluate((base + n) * base + n, solve, memo), _cost_tree(inst, cost), stats
+    return _evaluate((base + n) * base + n, solve, memo), cost
+
+
+def solve_pruned(
+    inst: WeightedInstance, record_branches: bool = False
+) -> tuple[int, Node, SolveStats]:
+    """Threshold-pruned exact solve over member runs: equality alone at
+    3/7 of the member weight, cuts alone below a strict quarter, both in
+    between, with cuts from the quarter range.  Any weights; with
+    ``record_branches`` the stats map each run to its branch."""
+    stats = SolveStats(branches={} if record_branches else None)
+    best, cost = _top_down(inst, True, stats)
+    return best, _cost_tree(inst, cost), stats
 
 
 def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
-    """Exact solve over (interval, hole count) states.
-
-    Holes are always the heaviest keys of the interval, so a state is
-    (i, j, m), the m lightest keys of [i, j], with j − i + 1 − m holes.
-    Cuts come from the quarter range.  Equality removal is explored
-    exactly when the heaviest member holds a quarter of the member
-    weight (non-strict, the safe side), which bounds hole depth by
-    log_{4/3}(nR), asserted after solving; only a member above half
-    the weight empties the quarter range, and its equality is explored.
-    """
-    n = inst.n
+    """Exact solve over positional (interval, hole count) states: cuts
+    from the quarter range, equality explored while the heaviest member
+    holds a quarter of the weight.  Positive weights only; the hole
+    depth, at most log_{4/3}(nR), is checked after solving."""
     if 0 in inst.weights:
         raise PreconditionError("zero weights present; rescale or use another solver")
-    w_arr = inst._w
-    asc = (0,) + inst.asc_perm
-    pw, pc = inst._prefix
     stats = SolveStats()
-    memo: dict[int, int] = {}
-    base = n + 2
-
-    def solve(key: int):
-        ij, m = divmod(key, base)
-        i, j = divmod(ij, base)
-        stats.subproblems_evaluated += 1
-        s = j - i + 1 - m
-        if s > stats.max_hole_depth:
-            stats.max_hole_depth = s
-        if m <= 1:
-            return 0
-        h = _level(pc, i, j, m, n)
-        v = pw[h][j] - pw[h][i - 1]
-        if m == 2:
-            return v  # equality on the heavier key; the rest is a leaf
-        pc_h = pc[h]
-        pc_i = pc_h[i - 1]
-        lo, hi = _quarter(pw[h], i, j)
-        split = None
-        for l in range(lo, hi):
-            m_l = pc_h[l] - pc_i
-            c = (yield (i * base + l) * base + m_l) + (yield ((l + 1) * base + j) * base + m - m_l)
-            if split is None or c < split:
-                split = c
-        stats.cutpoints_scanned += hi - lo
-        if 4 * w_arr[asc[h]] >= v:
-            eq_rest = yield key - 1
-            if split is None or eq_rest <= split:
-                return v + eq_rest
-        else:
-            stats.lt_prunes += 1
-        return v + split
-
-    total = _evaluate((base + n) * base + n, solve, memo)
+    best, cost = _top_down(inst, False, stats)
     big_r = max(inst.weights)
+    n = inst.n
     cap = ceil(log(n * big_r) / log(4 / 3)) + 1 if n * big_r > 1 else 1
     if stats.max_hole_depth > cap:
         raise TwocstError(f"hole depth {stats.max_hole_depth} exceeded the log bound {cap}")
-
-    def cost(i: int, j: int, h: int) -> int:
-        return memo[(i * base + j) * base + pc[h][j] - pc[h][i - 1]]
-
-    return total, _cost_tree(inst, cost), stats
+    return best, _cost_tree(inst, cost), stats
 
 
 def _interval_costs(
@@ -392,7 +370,8 @@ def solve_bounded_const(
     """
     n = inst.n
     if limit is None:
-        limit = max(inst.weights)
+        # at least 1, so that all-zero weights are refused by key below
+        limit = max(1, *inst.weights)
     if type(limit) is not int or limit < 1:
         raise PreconditionError(f"weight bound must be a positive int, got {limit!r}")
     for k, w in enumerate(inst.weights, start=1):

@@ -145,6 +145,12 @@ class TestExitCodes:
         assert code == 2
         assert "negative weight" in err
 
+    def test_limit_without_bounded_const_is_usage_error(self, capsys, fig1):
+        # bench keeps one --limit for a mixed algorithm list; solve names one
+        code, out, err = run(capsys, "solve", fig1, "pruned", "--limit", "-4")
+        assert (code, out) == (2, "")
+        assert err == "error: --limit is the weight bound of bounded-const; pruned takes none\n"
+
     def test_memory_budget_is_precondition(self, capsys, fig1, monkeypatch):
         monkeypatch.setenv("TWOCST_MEM_LIMIT_MB", "0")
         code, _, _ = run(capsys, "solve", fig1, "full")

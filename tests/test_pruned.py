@@ -208,22 +208,28 @@ class TestBoundedLog:
         assert best == 16368
         assert stats.max_hole_depth == 11
 
-    def test_trees_match_full(self):
+    @pytest.mark.parametrize(
+        "solve", [solve_bounded_log, solve_pruned], ids=["bounded_log", "pruned"]
+    )
+    def test_trees_match_full(self, solve):
         # weights 1..3, 1..100, powers of two up to 2^30 and ties, at
         # every n from 11 to 30, where quarter ranges are much narrower
-        # than the member span
+        # than the member span; solve_pruned, which takes zero weights,
+        # also draws mostly zeros
         rng = random.Random(15)
-        draws = (
+        draws = [
             lambda: rng.randint(1, 3),
             lambda: rng.randint(1, 100),
             lambda: 2 ** rng.randint(0, 30),
             lambda: rng.choice((2, 2, 7)),
-        )
+        ]
+        if solve is solve_pruned:
+            draws.append(lambda: rng.choice((0, 0, 1, 5)))
         for n in range(11, 31):
             for draw in draws:
                 inst = new_instance([draw() for _ in range(n)])
                 _t, best_full, tree_full = solve_full(inst)
-                best, tree, _stats = solve_bounded_log(inst)
+                best, tree, _stats = solve(inst)
                 assert (best, tree) == (best_full, tree_full), inst.weights
 
     def test_geometric_chain_counts(self):
@@ -240,6 +246,9 @@ class TestBoundedConst:
             solve_bounded_const(new_instance([1, 0, 2]), 3)
         with pytest.raises(PreconditionError):
             solve_bounded_const(new_instance([1, 9]), 3)
+        # all zeros with the default bound name the first key, not a bound
+        with pytest.raises(PreconditionError, match=r"^weight 0 of key 1 outside \[1, 1\]$"):
+            solve_bounded_const(new_instance([0, 0, 0]))
 
     def test_rejects_bool_limit(self):
         # True is an int subclass; as a bound it must not pass for 1
