@@ -94,9 +94,13 @@ def _run_algorithm(
     return best, tree, stats, wall_ms
 
 
+def _check_limit(limit: int | None, algorithms: list[str]) -> None:
+    if limit is not None and "bounded-const" not in algorithms:
+        raise ParseError(f"--limit is the weight bound of bounded-const; {','.join(algorithms)} takes none")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.limit is not None and args.algorithm != "bounded-const":
-        raise ParseError(f"--limit is the weight bound of bounded-const; {args.algorithm} takes none")
+    _check_limit(args.limit, [args.algorithm])
     inst = load_instance(args.file)
     best, tree, stats, wall_ms = _run_algorithm(inst, args.algorithm, args.limit)
     if (args.tree or args.dot) and tree is None:
@@ -228,6 +232,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for algorithm in algorithms:
         if algorithm not in SOLVERS:
             raise ParseError(f"unknown algorithm {algorithm!r}; pick from {tuple(SOLVERS)}")
+    _check_limit(args.limit, algorithms)
     grid = _instance_grid(args)
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -331,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="CSV of costs, counters, wall times")
     _add_grid_flags(p_bench, files=True)
     p_bench.add_argument("--alg", "--algorithms", default="full,pruned", help="comma-separated algorithms")
-    p_bench.add_argument("--limit", type=int, default=None)
+    p_bench.add_argument("--limit", type=int, default=None, help="weight bound for bounded-const; an error unless --alg includes it")
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -11,11 +11,11 @@ on their admissible inputs:
   with equality explored only while the removed key keeps a quarter of
   the remaining weight, capping hole depth logarithmically.  Needs
   positive weights.
-* ``solve_bounded_const``: for weights in [1, R]; one full DP per
-  window of 8R keys, windows starting every 4R keys and cached by
-  weight pattern, gives every interval inside a window; the intervals
-  outside every window are longer than 4R keys, so cut-rooted, and
-  only their quarter-balanced cuts are scanned.
+* ``solve_bounded_const``: for weights in [0, R]; a window starts at
+  the first key of every 4R of prefix weight and runs while it weighs
+  under 8R.  One full DP per window, cached by weight pattern, prices
+  the intervals inside a window; any other interval weighs over 4R, so
+  it is cut-rooted, and only its quarter-balanced cuts are scanned.
 
 The first two share one memoized body, ``_top_down``, whose docstring
 describes their states; every solver scans only the quarter-refined
@@ -62,24 +62,24 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class RefinedInterval:
-    """Contiguous run of cut positions whose lighter side weighs at
-    least a quarter of the member weight; may be empty."""
+    """Contiguous run of cut positions lo..hi whose lighter side weighs
+    at least a quarter of the member weight; empty when lo > hi."""
 
     lo: int
     hi: int
-    empty: bool
+
+    @property
+    def empty(self) -> bool:
+        return self.lo > self.hi
 
     def __contains__(self, cut: int) -> bool:
-        return not self.empty and self.lo <= cut <= self.hi
+        return self.lo <= cut <= self.hi
 
     def positions(self) -> range:
-        return range(0) if self.empty else range(self.lo, self.hi + 1)
+        return range(self.lo, self.hi + 1)
 
     def width(self) -> int:
-        return 0 if self.empty else self.hi - self.lo + 1
-
-
-_EMPTY_INTERVAL = RefinedInterval(0, -1, True)
+        return len(self.positions())
 
 
 def refined_interval(inst: WeightedInstance, sid: tuple[int, int, int]) -> RefinedInterval:
@@ -94,7 +94,7 @@ def refined_interval(inst: WeightedInstance, sid: tuple[int, int, int]) -> Refin
     lo, hi = _quarter(inst._prefix[0][h], i, j)
     lo = max(lo, inst.first_member(i, j, h))
     hi = min(hi, inst.last_member(i, j, h)) - 1
-    return _EMPTY_INTERVAL if lo > hi else RefinedInterval(lo, hi, False)
+    return RefinedInterval(lo, hi)
 
 
 def _evaluate(root, expand, memo: dict):
@@ -293,51 +293,51 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
 
 
 def _interval_costs(
-    inst: WeightedInstance, window: int
+    inst: WeightedInstance, q: int
 ) -> tuple[list[list[int]], SolveStats, list[tuple[int, DpTable]]]:
-    """Hole-free interval costs costs[i][j], for 1 <= i <= j <= n, from
-    full-DP tables over windows of 2·window keys that start every
-    ``window`` keys, the last one cut short at n.  Returns the costs,
-    the work done and each window's (start, table); tables are cached
-    by weight pattern, so a repeated window is solved once.
+    """Hole-free interval costs costs[i][j], for 1 <= i <= j <= n, the
+    work done, and ``windows[i]``, the (start, table) of key i's window.
 
-    Every interval of at most ``window`` keys lies in the window with
-    the largest start at or below its left end, whose top level holds
-    its cost.  Each interval outside every window is priced over its
-    quarter-range cuts only, which is sound when ``window`` is four
-    times the heaviest weight and every weight is at least 1: such an
-    interval is longer than 4·R keys, so its heaviest key holds under a
-    quarter of its weight, a cut heads its optimal tree, and that cut
-    lies in the quarter range, which is then non-empty.
+    Key k lies in block pre[k-1] // q of the prefix weights.  Each
+    block's first key starts a window that runs while it weighs under
+    2q and serves its block; the first window to reach key n serves
+    every key after it.  A full-DP table, cached by weight pattern,
+    prices every interval inside its left end's window.  Windows only
+    grow to the right, so each sub-interval lies in its own left end's
+    window too.  An interval past that window weighs over q (2q from the
+    window's start, less than q before i in its block), so when q is at
+    least four times every weight, zeros included, a cut in its quarter
+    range heads its optimal tree; it is priced over those cuts alone.
     """
     n = inst.n
     weights = inst.weights
+    # the all-keys prefix weights alone, not the instance's O(n²) level rows
+    pre = list(accumulate(weights, initial=0))
     stats = SolveStats()
     cache: dict[tuple[int, ...], DpTable] = {}
-    windows: list[tuple[int, DpTable]] = []
+    windows: list[tuple[int, DpTable] | None] = [None]  # by key, from 1
     costs = [[0] * (n + 1) for _ in range(n + 2)]
-    for s in range(1, n + 1, window):
-        e = min(s + 2 * window - 1, n)
+    s = 1
+    while s <= n:
+        e = bisect_left(pre, pre[s - 1] + 2 * q, s, n + 1) - 1
         pattern = weights[s - 1 : e]
-        if pattern not in cache:
+        table = cache.get(pattern)
+        if table is None:
             table = cache[pattern] = _fill(inst.restrict(s, e))
             stats.subproblems_evaluated += table.cells_computed
             stats.cutpoints_scanned += table.cuts_scanned
-        windows.append((s, cache[pattern]))
-        top = cache[pattern].levels[e - s + 1]
-        for r in range(s, e + 1):
+        # the next block's first key, or past n once this window reaches it
+        t = n + 1 if e == n else bisect_left(pre, (pre[s - 1] // q + 1) * q, s, e) + 1
+        top = table.levels[e - s + 1]
+        for r in range(s, t):
             costs[r][r : e + 1] = top[r - s + 1][r - s + 1 :]
-        if e == n:
-            break
-    # the all-keys prefix weights alone, not the instance's O(n²) level rows
-    pre = list(accumulate(weights, initial=0))
-    for length in range(window + 1, n + 1):
-        for i in range(1, n - length + 2):
-            j = i + length - 1
-            if j < windows[min((i - 1) // window, len(windows) - 1)][0] + 2 * window:
-                continue
+        windows += [(s, table)] * (t - s)
+        s = t
+    for i in range(n, 0, -1):
+        s, table = windows[i]
+        row = costs[i]
+        for j in range(s + table.inst.n, n + 1):
             lo, hi = _quarter(pre, i, j)
-            row = costs[i]
             best = min(map(add, row[lo:hi], [costs[l + 1][j] for l in range(lo, hi)]))
             row[j] = pre[j] - pre[i - 1] + best
             stats.subproblems_evaluated += 1
@@ -347,56 +347,48 @@ def _interval_costs(
 
 def hole_free_costs(inst: WeightedInstance) -> list[list[int]]:
     """Interval cost matrix over all keys: costs[i][j] for 1 <= i <= j
-    <= n, zero when i >= j.  With weights in [1, R] the windowed engine
-    solves windows of 8R keys every 4R keys and prices every interval
-    outside them over its quarter-balanced cuts; a zero weight makes no
-    length safe to cut, so then one window covers all keys."""
-    window = 4 * max(inst.weights) if min(inst.weights) >= 1 else inst.n
-    return _interval_costs(inst, window)[0]
+    <= n, zero when i >= j, from ``_interval_costs`` with q four times
+    the heaviest weight, and at least 4."""
+    return _interval_costs(inst, 4 * max(1, *inst.weights))[0]
 
 
 def solve_bounded_const(
     inst: WeightedInstance, limit: int | None = None
 ) -> tuple[int, Node, SolveStats]:
-    """Exact solve for integer weights in [1, limit].
-
-    Intended for small weight bounds: full-DP work is confined to
-    windows of 8·limit keys every 4·limit keys, and the intervals
-    outside every window take quarter-balanced cuts only.  The counters
+    """Exact solve for integer weights in [0, limit]: full-DP work is
+    confined to ``_interval_costs``'s windows with q = 4·limit, and the
+    intervals past them take quarter-balanced cuts only.  The counters
     add the window tables' cells and cuts to the outside intervals and
-    their cuts.
-    Hole depth is not tracked here (windows hide it), so
+    their cuts.  Hole depth is not tracked here (windows hide it), so
     ``max_hole_depth`` stays 0.
     """
     n = inst.n
     if limit is None:
-        # at least 1, so that all-zero weights are refused by key below
         limit = max(1, *inst.weights)
     if type(limit) is not int or limit < 1:
         raise PreconditionError(f"weight bound must be a positive int, got {limit!r}")
     for k, w in enumerate(inst.weights, start=1):
-        if not 1 <= w <= limit:
-            raise PreconditionError(f"weight {w} of key {k} outside [1, {limit}]")
-    window = 4 * limit
-    costs, stats, windows = _interval_costs(inst, window)
+        if not 0 <= w <= limit:
+            raise PreconditionError(f"weight {w} of key {k} outside [0, {limit}]")
+    costs, stats, windows = _interval_costs(inst, 4 * limit)
     pc = inst._prefix[1]
 
     def cost(i: int, j: int, h: int) -> int:
         """C[h][i][j].  A hole-free subproblem reads the interval costs;
-        any other reads the window that its left end picks, at the level
-        of that window's table holding the same members.
+        any other reads the window of its left end, at the level of that
+        window's table holding the same members.
 
-        Every subproblem ``_step`` asks for has a window: holes appear
-        only below an equality test, and outside every window the
-        heaviest key holds under a quarter of the weight (more than
-        4·limit keys, each of weight at least 1), so ``_step`` never
-        tries equality there; and every sub-interval of a window
-        interval also lies in the window that its own left end picks.
+        Every subproblem ``_step`` asks for lies in that window: holes
+        appear only below an equality test, and an interval past its
+        left end's window weighs over 4·limit, so its heaviest key holds
+        under a quarter of the weight and ``_step`` never tries equality
+        there; and every sub-interval of a window interval also lies in
+        the window of its own left end.
         """
         row = pc[h]
         if row[j] - row[i - 1] == j - i + 1:
             return costs[i][j]
-        s, table = windows[min((i - 1) // window, len(windows) - 1)]
+        s, table = windows[i]
         e = s + table.inst.n - 1
         return table.levels[row[e] - row[s - 1]][i - s + 1][j - s + 1]
 

@@ -151,6 +151,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: --limit is the weight bound of bounded-const; pruned takes none\n"
 
+    def test_bench_limit_without_bounded_const_is_usage_error(self, capsys):
+        # a list that runs bounded-const keeps the shared --limit
+        code, out, err = run(capsys, "bench", "--weights", "1,2,3", "--alg", "full,pruned", "--limit", "-4")
+        assert (code, out) == (2, "")
+        assert err == "error: --limit is the weight bound of bounded-const; full,pruned takes none\n"
+
     def test_memory_budget_is_precondition(self, capsys, fig1, monkeypatch):
         monkeypatch.setenv("TWOCST_MEM_LIMIT_MB", "0")
         code, _, _ = run(capsys, "solve", fig1, "full")

@@ -242,13 +242,15 @@ class TestBoundedLog:
 
 class TestBoundedConst:
     def test_validates_weight_range(self):
-        with pytest.raises(PreconditionError):
-            solve_bounded_const(new_instance([1, 0, 2]), 3)
-        with pytest.raises(PreconditionError):
+        # zero weights lie in [0, limit], also all zeros with the default bound
+        for ws, limit in (([1, 0, 2], 3), ([0, 0, 0], None)):
+            inst = new_instance(ws)
+            _t, best_full, tree_full = solve_full(inst)
+            assert solve_bounded_const(inst, limit)[:2] == (best_full, tree_full)
+        with pytest.raises(PreconditionError, match=r"^weight 9 of key 2 outside \[0, 3\]$"):
             solve_bounded_const(new_instance([1, 9]), 3)
-        # all zeros with the default bound name the first key, not a bound
-        with pytest.raises(PreconditionError, match=r"^weight 0 of key 1 outside \[1, 1\]$"):
-            solve_bounded_const(new_instance([0, 0, 0]))
+        with pytest.raises(PreconditionError, match="positive int"):
+            solve_bounded_const(new_instance([1, 1]), 0)
 
     def test_rejects_bool_limit(self):
         # True is an int subclass; as a bound it must not pass for 1
@@ -260,15 +262,16 @@ class TestBoundedConst:
         _t, best_full, _tree = solve_full(new_instance([2, 3, 1, 3]))
         assert best == best_full
 
-    @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=14))
+    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=14))
     @settings(max_examples=80, deadline=None)
     def test_matches_full_small_weights(self, ws):
         inst = new_instance(ws)
-        _t, best_full, _tree = solve_full(inst)
+        _t, best_full, tree_full = solve_full(inst)
         best, tree, _stats = solve_bounded_const(inst, 3)
         assert best == best_full
         assert validate(tree, inst).ok
         assert cost(tree, inst) == best
+        assert tree == tree_full
 
     def test_long_uniform_instance(self):
         # window size 4*limit = 4 stays far below n = 40
@@ -278,15 +281,17 @@ class TestBoundedConst:
         assert best == best_full
         assert validate(tree, inst).ok
 
-    # weights in 1..R give windows of at most 8R keys every 4R keys or
-    # fewer, so n > 8R always has several windows and intervals outside
-    # them: n >= 17 for R = 2, n >= 25 for R = 3
+    # windows start at every multiple of 4R in the prefix weights and hold
+    # under 8R of weight, so a total weight of at least 8R gives several
+    # windows and intervals past them; the examples are such draws with and
+    # without zeros
     @given(
         st.sampled_from([(2, 17, 40), (3, 25, 60)]).flatmap(
-            lambda c: st.lists(st.integers(min_value=1, max_value=c[0]), min_size=c[1], max_size=c[2])
+            lambda c: st.lists(st.integers(min_value=0, max_value=c[0]), min_size=c[1], max_size=c[2])
         )
     )
     @example(list(random_instance(4, 1, 3, 60).weights))
+    @example(list(random_instance(1, 0, 3, 60).weights))
     @settings(max_examples=25, deadline=None)
     def test_several_windows_match_full(self, ws):
         inst = new_instance(ws)
@@ -326,14 +331,21 @@ class TestBoundedConst:
     @pytest.mark.parametrize(
         "make,expected",
         [
-            (lambda: random_instance(1, 1, 3, 60), (4395, 31007)),
-            (lambda: pattern_instance((1, 3), 60), (1646, 17979)),
+            (lambda: random_instance(1, 1, 3, 60), (2447, 20347)),
+            (lambda: pattern_instance((1, 3), 60), (1480, 18329)),
+            (lambda: random_instance(1, 0, 3, 60), (2900, 21610)),
         ],
-        ids=["random", "pattern"],
+        ids=["random", "pattern", "random-zeros"],
     )
     def test_frozen_counters(self, make, expected):
         _best, _tree, s = solve_bounded_const(make())
         assert (s.subproblems_evaluated, s.cutpoints_scanned) == expected
+
+    def test_zero_weights_keep_windows_small(self):
+        # windows measured in weight: zeros do not grow them to a full fill
+        inst = random_instance(1, 0, 3, 120)
+        _best, _tree, s = solve_bounded_const(inst)
+        assert 4 * s.subproblems_evaluated < solve_full(inst)[0].cells_computed
 
 
 def test_zero_heavy_weights_agree_with_full():
