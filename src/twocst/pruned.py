@@ -294,7 +294,7 @@ def solve_bounded_log(inst: WeightedInstance) -> tuple[int, Node, SolveStats]:
 
 def _interval_costs(
     inst: WeightedInstance, q: int
-) -> tuple[list[list[int]], SolveStats, list[tuple[int, DpTable]]]:
+) -> tuple[list[list[int]], SolveStats, list[tuple[int, DpTable] | None]]:
     """Hole-free interval costs costs[i][j], for 1 <= i <= j <= n, the
     work done, and ``windows[i]``, the (start, table) of key i's window.
 
