@@ -11,31 +11,69 @@ pairs the change won (ties count for neither side) and ``gain``, true
 when at least ten pairs ran, the change won at least nine tenths of them
 and its median beats the base's by more than the base's interquartile
 range.  Every metric of an untraced run is a cost (seconds, megabytes,
-the failed share), so lower is better for all of them.  After the pairs,
-one ``--trace 1`` run per side at seed 1 records that side's exact work
-counters (perfbench's ``counter_totals``); the report holds both and
-``equal``, true when they match, so the report also shows whether the
-change did the same work.  The traced runs' failures count with the
-rest.  With ``--out`` the same JSON is also written to a file, so a
-claim can be committed as the command's own output.  Checkouts are
-recorded as given on the command line, next to their
+the failed share), so lower is better for all of them.
+
+Each gated metric (``end_to_end`` in the base's ``BENCHMARK.json``) also
+carries its ``bound``; ``worse``, true when the change's median exceeds
+the base's by more than bound × the base's median; and ``unresolved``,
+true when either side's interquartile range exceeds bound × that side's
+median, so its runs spread too wide to tell a regression from noise.
+Flagged metrics are named on stderr.
+
+After the pairs, one ``--trace 1`` run per side at seed 1 records that
+side's exact work counters (perfbench's ``counter_totals``); the report
+holds both and ``equal``, true when they match.  ``--out`` also writes
+the JSON to a file, so a claim can be committed as the command's own
+output.  Checkouts are recorded as given, next to their
 ``git rev-parse HEAD`` where they have one.
 
     python3 scripts/bench_pair.py --base ../parent --change . --workload lab-structure --pairs 10 --out PAIRS.json
 
 Exits 2 before running anything if either checkout lacks
-``BENCHMARK.json`` or ``perfbench/run.py``, and 1, after printing, if any
-run failed an operation.
+``BENCHMARK.json`` or ``perfbench/run.py`` or declares no such workload;
+1 if a perfbench run exits non-zero (with its last stderr line), and 1,
+after printing, if any run failed an operation or a gated metric is
+missing from either side's runs.  ``worse`` and ``unresolved`` leave the
+exit code alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
+import subprocess
 import sys
 from pathlib import Path
 
-from bench_record import commit_of, perfbench_record, run_bench, summary
+
+def run_bench(checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The JSON result line of one perfbench run."""
+    args = command + ["--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    done = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        last = done.stderr.strip().rpartition("\n")[2]
+        raise SystemExit(f"bench_pair: {' '.join(args)} in {checkout} exited {done.returncode}: {last}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def perfbench_record(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """The full record that one perfbench run leaves in ``.perfbench_out/``."""
+    return json.loads((checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+
+
+def summary(values: list[float]) -> dict:
+    """Median and interquartile range of one metric over the runs."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def commit_of(checkout: Path) -> str | None:
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def main(argv=None) -> int:
@@ -60,6 +98,7 @@ def main(argv=None) -> int:
             print(f"bench_pair: {side} checkout declares no workload {args.workload!r}", file=sys.stderr)
             return 2
     seconds = specs["base"]["run_seconds"] if args.seconds is None else args.seconds
+    bounds = {m["name"]: m["bound"] for m in specs["base"]["end_to_end"]}
 
     values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
     tally = {side: {"failed": 0, "attempted": 0} for side in sides}
@@ -88,6 +127,13 @@ def main(argv=None) -> int:
         entry = {"base": summary(base), "change": summary(change), "change_won": won}
         margin = entry["base"]["median"] - entry["change"]["median"]
         entry["gain"] = args.pairs >= 10 and 10 * won >= 9 * args.pairs and margin > entry["base"]["iqr"]
+        if name in bounds:
+            bound = entry["bound"] = bounds[name]
+            entry["worse"] = -margin > bound * entry["base"]["median"]
+            entry["unresolved"] = any(entry[s]["iqr"] > bound * entry[s]["median"] for s in sides)
+            for flag in ("worse", "unresolved"):
+                if entry[flag]:
+                    print(f"bench_pair: {name} {flag} at bound {bound:g}", file=sys.stderr)
         metrics[name] = entry
 
     report = {
@@ -103,7 +149,10 @@ def main(argv=None) -> int:
     print(text)
     if args.out:
         args.out.write_text(text + "\n")
-    return 1 if tally["base"]["failed"] or tally["change"]["failed"] else 0
+    incomplete = [f"{side} {name}" for side in sides for name in bounds if len(values[side].get(name, [])) != args.pairs]
+    if incomplete:
+        print(f"bench_pair: gated metrics missing from runs: {', '.join(incomplete)}", file=sys.stderr)
+    return 1 if tally["base"]["failed"] or tally["change"]["failed"] or incomplete else 0
 
 
 if __name__ == "__main__":

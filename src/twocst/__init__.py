@@ -51,7 +51,6 @@ from .tree import (
     Node,
     ValidationReport,
     check_side_weight_all_edges,
-    check_side_weight_monotone,
     cost,
     depth_map,
     from_json,

@@ -52,8 +52,11 @@ class MinimizerReport:
     """All optimal cut positions for one subproblem's split term."""
 
     minimizers: tuple[int, ...]
-    canonical: int
     split_cost: int
+
+    @property
+    def canonical(self) -> int:
+        return self.minimizers[0]
 
 
 def _level(pc: list[list[int]], i: int, j: int, count: int, hi: int) -> int:
@@ -172,7 +175,7 @@ class DpTable:
             if mn >= mx:
                 raise PreconditionError(f"no valid cut in inner range for {(i, j, h)}")
         best, mins = _best_cuts(self.levels[h], i, j, mn, mx)
-        return MinimizerReport(mins, mins[0], best)
+        return MinimizerReport(mins, best)
 
     def step(self, sid: tuple[int, int, int]) -> tuple:
         """What an optimal tree does first here, as a ``build_tree``

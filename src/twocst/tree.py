@@ -153,18 +153,6 @@ def main_branch(tree: Node, inst: WeightedInstance) -> list[Node]:
     return path
 
 
-def check_side_weight_monotone(tree: Node, inst: WeightedInstance) -> list[tuple[int, int, int]]:
-    """Side weights along the main branch must never increase; returns
-    (position, parent_side_weight, child_side_weight) violations."""
-    path = main_branch(tree, inst)
-    sws = [side_weight(v, inst) for v in path[:-1]]
-    return [
-        (t, sws[t], sws[t + 1])
-        for t in range(len(sws) - 1)
-        if sws[t] < sws[t + 1]
-    ]
-
-
 def check_side_weight_all_edges(
     tree: Node, inst: WeightedInstance
 ) -> list[tuple[Node, Node, int, int]]:

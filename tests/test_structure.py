@@ -1,6 +1,7 @@
 """Generators, structural checks, and the named check suites."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from twocst import (
     GeneratorSpec,
     balanced_pattern_claims,
+    brute_force_optimal,
     check_minimizer_monotonicity,
     check_side_weight_theorem,
     check_thresholds,
@@ -21,7 +23,10 @@ from twocst import (
     pattern_instance,
     qi_table,
     random_instance,
+    solve_bounded_const,
+    solve_bounded_log,
     solve_full,
+    solve_pruned,
     suite_counterexamples,
     suite_geometric,
     suite_oracle,
@@ -160,6 +165,37 @@ class TestChecks:
         rep = check_thresholds(new_instance([2, 2, 2, 2, 2]))
         assert rep.checks["light_top_implies_cut_root"] == "pass"
         assert rep.eq_root_optimal is False
+
+    def test_exhaustive_box_claims_and_solver_agreement(self):
+        # every weight vector with n <= 5 and weights 0..4, bar all-zero
+        fired: dict[str, int] = {}
+        instances = pair_boundary = 0
+        for n in range(1, 6):
+            for ws in product(range(5), repeat=n):
+                if not any(ws):
+                    continue
+                instances += 1
+                inst = new_instance(list(ws))
+                table, opt, _tree = solve_full(inst)
+                rep = check_thresholds(inst, table)
+                for name, state in rep.checks.items():
+                    assert state != "fail", (ws, name)
+                    if state == "pass":
+                        fired[name] = fired.get(name, 0) + 1
+                if n >= 2 and 2 * rep.alpha + rep.beta == rep.total:
+                    pair_boundary += 1
+                costs = {solve_pruned(inst)[0], solve_bounded_const(inst)[0], brute_force_optimal(inst)[0]}
+                if 0 not in ws:
+                    costs.add(solve_bounded_log(inst)[0])
+                assert costs == {opt}, ws
+        assert instances == 3900 and pair_boundary > 0
+        # skewed_pair_blocks_double_eq first fires at n = 6
+        assert set(fired) == {
+            "heavy_top_implies_eq_root",
+            "light_top_implies_cut_root",
+            "pair_bound_implies_eq_root",
+            "light_pair_blocks_double_eq",
+        }, fired
 
     def test_side_weight_theorem_on_random_batch(self):
         import random

@@ -32,7 +32,6 @@ from twocst.errors import PreconditionError
 from twocst.tree import (
     build_tree,
     check_side_weight_all_edges,
-    check_side_weight_monotone,
     main_branch,
     side_weight,
     subtree_weight,
@@ -149,18 +148,10 @@ def test_dot_output_mentions_every_key():
 
 
 def test_side_weight_monotone_flags_planted_violation():
-    # root side weight 1, child side weight 5: monotone along the main branch fails
+    # root side weight 1, child side weight 5: the root's no-edge breaks monotonicity
     inst = new_instance([5, 5, 1, 6])
     t = EqNode(3, Leaf(3), EqNode(1, Leaf(1), LtNode(3, Leaf(2), Leaf(4))))
-    assert check_side_weight_monotone(t, inst)
     assert check_side_weight_all_edges(t, inst)
-
-
-@given(WEIGHTS)
-def test_optimal_trees_have_monotone_side_weights(ws):
-    inst = new_instance(ws)
-    _table, _best, tree = solve_full(inst)
-    assert check_side_weight_monotone(tree, inst) == []
 
 
 @given(
