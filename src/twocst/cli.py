@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -304,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact solvers and a verification lab for optimal "
         "two-way comparison search trees.",
         epilog="Exit codes: 0 ok, 1 verification failures, 2 bad input, "
-        "3 violated precondition or other solver error. Set "
+        "3 violated precondition or other solver error, 141 output pipe "
+        "closed by its reader. Set "
         "TWOCST_MEM_LIMIT_MB to cap the full table's memory estimate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -365,7 +367,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: route the unflushed rest to devnull so
+        # the flush at exit stays quiet, and exit as if killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

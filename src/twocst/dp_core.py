@@ -39,6 +39,7 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import add
+from typing import Sequence
 
 from .errors import MemoryBudgetError, PreconditionError, TwocstError
 from .instance import WeightedInstance
@@ -59,7 +60,7 @@ class MinimizerReport:
         return self.minimizers[0]
 
 
-def _level(pc: list[list[int]], i: int, j: int, count: int, hi: int) -> int:
+def _level(pc: Sequence[Sequence[int]], i: int, j: int, count: int, hi: int) -> int:
     """Least level h <= hi at which [i, j] holds ``count`` members, given
     that it holds at least that many at level hi: the largest rank among
     the ``count`` lightest keys of [i, j], or 0 for none.  One bisection
@@ -76,7 +77,7 @@ def _level(pc: list[list[int]], i: int, j: int, count: int, hi: int) -> int:
     return lo
 
 
-def _quarter(row: list[int], i: int, j: int) -> tuple[int, int]:
+def _quarter(row: Sequence[int], i: int, j: int) -> tuple[int, int]:
     """Cuts l in [lo, hi) of keys i..j that leave at least a quarter of
     their weight on each side, by two bisections of the monotone
     prefix-weight ``row``.  Every optimal cut lies in this range."""

@@ -12,16 +12,52 @@ in [i, j] among the h lightest" in constant time.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import lcm
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import ParseError, PreconditionError
 
 Weight = int
+
+
+def _typecode(top: int) -> str | None:
+    """The narrowest array typecode of "H", "I", "Q" that holds 0..top."""
+    return next((c for c in "HIQ" if top >> 8 * array(c).itemsize == 0), None)
+
+
+def _prefix_rows(n: int, perm: Sequence[int], steps: Sequence[int], top: int) -> list[Sequence[int]]:
+    """Rows 0..n of n + 1 entries, all in 0..top: row 0 is zeros, and row
+    h is row h - 1 with steps[h-1] added to its entries from perm[h-1] on.
+
+    Rows are arrays of ``_typecode(top)``, so no entry is an int object
+    of its own.  The row's bytes are kept as one int, ``acc``, and each
+    row adds d times an int with a 1 in each field of its suffix, then
+    unpacks: no field carries into the next, since none exceeds top.
+    Past "Q" rows are lists, raised entry by entry."""
+    code = _typecode(top)
+    if code is None:
+        rows: list = [[0] * (n + 1)]
+        for k, d in zip(perm, steps):
+            row = rows[-1][:]
+            row[k:] = map(d.__add__, row[k:])
+            rows.append(row)
+        return rows
+    size, order = array(code).itemsize, sys.byteorder
+    ones = int.from_bytes(array(code, [1]) * (n + 1), order)
+    acc = 0
+    rows = [array(code, bytes(size * (n + 1)))]
+    for k, d in zip(perm, steps):
+        if d:
+            # fields k..n: the high ones in little-endian order, the low in big
+            raised = d * (ones >> 8 * size * k)
+            acc += raised << 8 * size * k if order == "little" else raised
+        rows.append(array(code, acc.to_bytes(size * (n + 1), order)))
+    return rows
 
 
 class WeightedInstance:
@@ -57,54 +93,15 @@ class WeightedInstance:
         self._rank: tuple[int, ...] = tuple(rank)
 
     @cached_property
-    def _prefix(self) -> tuple[list[list[int]], list[list[int]]]:
+    def _prefix(self) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
         """(pw, pc): pw[h][k] = weight of keys <= k with rank <= h,
-        pc[h][k] the analogous count.  Row 0 is all zeros.
-
-        Row h is row h - 1 with the suffix from key asc_perm[h-1] on
-        replaced in one slice assignment.  A count c there becomes
-        counts[c] = c + 1, read from one table built per instance, so all
-        O(n^2) count entries share the n + 1 int objects 0..n instead of
-        each holding its own.
-
-        A weight s there becomes s + w.  Ranks ascend by weight, so the
-        rows adding one weight value w are consecutive, and no sum in
-        them exceeds tops[w], the weight of the ranks up to the last of
-        them.  When the table vals = [0, 1, ..., total] is small next to
-        the n(n + 1)/2 row entries (16 * total <= n * n) and the slices
-        vals[w : tops[w] + 1], one per weight value, hold at most 2 * n * n
-        entries in all, s + w is read as that slice's entry s: the weight
-        rows then share the table's ints and no sum is computed.  Other
-        instances (huge, scaled, geometric or many distinct weights) keep
-        the plain sums: their table would be large next to the rows, or
-        copying their slices would cost more than the shared ints save."""
-        n = self.n
-        counts = list(range(1, n + 1))
-        vals = None
-        if 16 * self.total <= n * n:
-            ranked = sorted(self.weights)
-            tops = dict(zip(ranked, accumulate(ranked)))
-            if sum(top - w + 1 for w, top in tops.items()) <= 2 * n * n:
-                vals = list(range(self.total + 1))
-        shifted, shift = [], None
-        pw = [[0] * (n + 1)]
-        pc = [[0] * (n + 1)]
-        for h in range(1, n + 1):
-            k0 = self.asc_perm[h - 1]
-            w = self._w[k0]
-            # slice assignment onto a copy keeps each row exactly n + 1
-            # long; extending a prefix would leave list over-allocation
-            row_w = pw[h - 1][:]
-            if vals is None:
-                row_w[k0:] = map(w.__add__, row_w[k0:])
-            else:
-                if w != shift:
-                    shifted, shift = vals[w : tops[w] + 1], w
-                row_w[k0:] = map(shifted.__getitem__, row_w[k0:])
-            row_c = pc[h - 1][:]
-            row_c[k0:] = map(counts.__getitem__, row_c[k0:])
-            pw.append(row_w)
-            pc.append(row_c)
+        pc[h][k] the analogous count.  Row 0 is all zeros, and each table
+        is built by ``_prefix_rows``: typed arrays of two, four or eight
+        bytes an entry, or lists of ints for weights totalling 2^64 or
+        more."""
+        perm = self.asc_perm
+        pw = _prefix_rows(self.n, perm, [self._w[k] for k in perm], self.total)
+        pc = _prefix_rows(self.n, perm, [1] * self.n, self.n)
         return pw, pc
 
     def weight_of(self, k: int) -> int:

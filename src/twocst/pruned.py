@@ -317,6 +317,8 @@ def _interval_costs(
     cache: dict[tuple[int, ...], DpTable] = {}
     windows: list[tuple[int, DpTable] | None] = [None]  # by key, from 1
     costs = [[0] * (n + 1) for _ in range(n + 2)]
+    # the column mirror: cols[j][l] == costs[l][j], written next to it
+    cols = [[0] * (n + 2) for _ in range(n + 1)]
     s = 1
     while s <= n:
         e = bisect_left(pre, pre[s - 1] + 2 * q, s, n + 1) - 1
@@ -330,7 +332,10 @@ def _interval_costs(
         t = n + 1 if e == n else bisect_left(pre, (pre[s - 1] // q + 1) * q, s, e) + 1
         top = table.levels[e - s + 1]
         for r in range(s, t):
-            costs[r][r : e + 1] = top[r - s + 1][r - s + 1 :]
+            row = costs[r]
+            row[r : e + 1] = top[r - s + 1][r - s + 1 :]
+            for j in range(r, e + 1):
+                cols[j][r] = row[j]
         windows += [(s, table)] * (t - s)
         s = t
     for i in range(n, 0, -1):
@@ -338,8 +343,8 @@ def _interval_costs(
         row = costs[i]
         for j in range(s + table.inst.n, n + 1):
             lo, hi = _quarter(pre, i, j)
-            best = min(map(add, row[lo:hi], [costs[l + 1][j] for l in range(lo, hi)]))
-            row[j] = pre[j] - pre[i - 1] + best
+            best = min(map(add, row[lo:hi], cols[j][lo + 1 : hi + 1]))
+            row[j] = cols[j][i] = pre[j] - pre[i - 1] + best
             stats.subproblems_evaluated += 1
             stats.cutpoints_scanned += hi - lo
     return costs, stats, windows

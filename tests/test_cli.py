@@ -4,10 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import twocst
 from twocst import TwocstError, from_json, hard_instance, new_instance, pattern_instance, validate
 from twocst.cli import main
 from twocst.structure import CheckResult, suite_geometric, suite_oracle, suite_thresholds
@@ -177,6 +182,24 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    def test_closed_stdout_pipe_exits_141_quietly(self):
+        # the read end is closed before the run starts, so its first write
+        # meets a pipe without a reader, as under `| head -1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(twocst.__file__).parents[1])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "twocst.cli", "bench", "--weights", "1,2,3", "--alg", "full"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_verify_failures_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -85,29 +85,59 @@ def test_prefix_rows_match_their_definition(ws):
     for h in range(n + 1):
         want_w = [sum(ws[k - 1] for k in range(1, top + 1) if rank[k] <= h) for top in range(n + 1)]
         want_c = [sum(1 for k in range(1, top + 1) if rank[k] <= h) for top in range(n + 1)]
-        assert pw[h] == want_w
-        assert pc[h] == want_c
+        assert list(pw[h]) == want_w
+        assert list(pc[h]) == want_c
 
 
-def test_prefix_count_rows_share_one_int_per_count():
-    # counts past 256 lie outside CPython's cached small ints, so rows that
-    # computed their own entries would hold one int object per such entry
+def _typecodes(rows):
+    """The one typecode of a table's rows, or "list" for list rows."""
+    codes = {getattr(row, "typecode", "list") for row in rows}
+    assert len(codes) == 1
+    return codes.pop()
+
+
+def test_prefix_count_rows_are_two_byte_arrays():
+    # counts reach n, which fits two bytes up to n = 65535
     rng = random.Random(600)
     n = 600
     pc = new_instance([rng.randint(1, 100) for _ in range(n)])._prefix[1]
-    assert pc[n] == list(range(n + 1))
-    assert len({id(c) for row in pc for c in row}) <= n + 1
+    assert _typecodes(pc) == "H"
+    assert list(pc[n]) == list(range(n + 1))
 
 
-def test_prefix_weight_rows_share_one_int_per_value():
-    # weight sums past 256 lie outside CPython's cached small ints; here
-    # 16 * total <= n * n, so the rows read them from one table of 0..total
+def test_prefix_weight_rows_take_the_narrowest_typecode():
+    # the weight table's largest entry is the total weight
     rng = random.Random(600)
-    n = 600
-    inst = new_instance([rng.randint(1, 3) for _ in range(n)])
-    pw = inst._prefix[0]
-    assert pw[n][n] == inst.total > 256
-    assert len({id(w) for row in pw for w in row}) <= inst.total + 1
+    inst = new_instance([rng.randint(1, 100) for _ in range(1500)])
+    assert 2**16 <= inst.total < 2**32
+    assert _typecodes(inst._prefix[0]) == "I"
+    near_2_40 = new_instance([2**40 + rng.randint(-3, 3) for _ in range(64)])
+    assert _typecodes(near_2_40._prefix[0]) == "Q"
+    near_2_70 = new_instance([2**70 + rng.randint(-3, 3) for _ in range(64)])
+    pw, pc = near_2_70._prefix
+    assert (_typecodes(pw), _typecodes(pc)) == ("list", "H")
+    assert pw[64][64] == near_2_70.total
+
+
+@pytest.mark.parametrize(
+    ("total", "code"),
+    [(2**16 - 1, "H"), (2**16, "I"), (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"), (2**64, "list")],
+)
+def test_prefix_rows_at_a_typecode_boundary(total, code):
+    # a total that fills every bit of a field raises the last entries to
+    # all ones, where an add carrying across fields would corrupt the next
+    ws = _weights_summing_to(64, total, total.bit_length())
+    pw = new_instance(ws)._prefix[0]
+    assert _typecodes(pw) == code
+    assert [list(row) for row in pw] == _rows_by_definition(ws)[0]
+
+
+def test_prefix_tables_take_six_bytes_an_entry_at_n_2000():
+    rng = random.Random(2000)
+    n = 2000
+    pw, pc = new_instance([rng.randint(1, 100) for _ in range(n)])._prefix
+    assert (_typecodes(pw), _typecodes(pc)) == ("I", "H")
+    assert sum(len(row) * row.itemsize for row in pw + pc) == 6 * (n + 1) ** 2
 
 
 def _weights_summing_to(n, total, seed):
@@ -137,29 +167,24 @@ def _rows_by_definition(ws):
 
 
 @pytest.mark.parametrize(
-    ("ws", "shared"),
+    "ws",
     [
-        (_weights_summing_to(128, 128 * 128 // 16, 1), True),
-        (_weights_summing_to(128, 128 * 128 // 16 + 1, 2), False),
-        # 16 * total <= n * n both times; only the second instance's
-        # per-weight slices exceed 2 * n * n entries (about 167,000 and 457,000)
-        (random.Random(3).sample([0] * 300 + list(range(1, 101)), 400), True),
-        (random.Random(4).sample([0] * 260 + list(range(1, 141)), 400), False),
-        ([0] * 64, None),
-        ([2**40 + random.Random(5).randint(-3, 3) for _ in range(64)], None),
+        _weights_summing_to(128, 128 * 128 // 16, 1),
+        _weights_summing_to(128, 128 * 128 // 16 + 1, 2),
+        random.Random(3).sample([0] * 300 + list(range(1, 101)), 400),
+        random.Random(4).sample([0] * 260 + list(range(1, 141)), 400),
+        [0] * 64,
+        [2**40 + random.Random(5).randint(-3, 3) for _ in range(64)],
+        [2**70 + random.Random(6).randint(-3, 3) for _ in range(64)],
     ],
-    ids=["16*total==n*n", "one-above", "distinct-1..100", "distinct-1..140", "all-zero", "near-2^40"],
+    ids=["16*total==n*n", "one-above", "distinct-1..100", "distinct-1..140", "all-zero", "near-2^40", "near-2^70"],
 )
-def test_prefix_rows_match_their_definition_on_both_paths(ws, shared):
-    # the hypothesis test above draws n <= 14, where 16 * total <= n * n
-    # almost never holds, so these n >= 64 cases reach the shared table
-    inst = new_instance(ws)
-    assert inst._prefix == _rows_by_definition(ws)
-    if shared is not None:
-        # sums up to total > 256 share one int per value only on the table path
-        assert inst.total > 256
-        assert (len({id(w) for row in inst._prefix[0] for w in row}) <= inst.total + 1) == shared
-
+def test_prefix_rows_match_their_definition_on_both_paths(ws):
+    # the hypothesis test above draws n <= 14; these n >= 64 cases take
+    # long zero runs, many distinct weights, and array rows of every
+    # typecode as well as the list rows past 2^64
+    pw, pc = new_instance(ws)._prefix
+    assert ([list(row) for row in pw], [list(row) for row in pc]) == _rows_by_definition(ws)
 
 
 @pytest.mark.parametrize("sid", [(0, 3, 3), (1, 4, 3), (1, 3, -1), (1, 3, 4), (3, 1, 3)])
