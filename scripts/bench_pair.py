@@ -22,10 +22,13 @@ Flagged metrics are named on stderr.
 
 After the pairs, one ``--trace 1`` run per side at seed 1 records that
 side's exact work counters (perfbench's ``counter_totals``); the report
-holds both and ``equal``, true when they match.  ``--out`` also writes
-the JSON to a file, so a claim can be committed as the command's own
-output.  Checkouts are recorded as given, next to their
-``git rev-parse HEAD`` where they have one.
+holds both and ``equal``, true when they match.  Memory peaks (names
+ending in ``_mb``, which perfbench measures under tracemalloc) are
+reported but left out of ``equal``: a change may lower them without
+changing the work done.  ``--out`` also writes the JSON to a file, so a
+claim can be committed as the command's own output.  Checkouts are
+recorded as given, next to their ``git rev-parse HEAD`` where they have
+one.
 
     python3 scripts/bench_pair.py --base ../parent --change . --workload lab-structure --pairs 10 --out PAIRS.json
 
@@ -119,6 +122,7 @@ def main(argv=None) -> int:
         tally[side]["failed"] += traced["failed"]
         tally[side]["attempted"] += traced["attempted"]
         counters[side] = perfbench_record(checkout, args.workload, 1, 1)["counter_totals"]
+    work = {side: {k: v for k, v in c.items() if not k.endswith("_mb")} for side, c in counters.items()}
 
     metrics = {}
     for name in sorted(values["base"].keys() & values["change"].keys()):
@@ -143,7 +147,7 @@ def main(argv=None) -> int:
         "base": {"checkout": str(args.base), "commit": commit_of(sides["base"]), **tally["base"]},
         "change": {"checkout": str(args.change), "commit": commit_of(sides["change"]), **tally["change"]},
         "metrics": metrics,
-        "counters": {**counters, "equal": counters["base"] == counters["change"]},
+        "counters": {**counters, "equal": work["base"] == work["change"]},
     }
     text = json.dumps(report, indent=1, sort_keys=True)
     print(text)
