@@ -25,21 +25,21 @@ from .errors import ParseError, PreconditionError
 Weight = int
 
 
-def _typecode(top: int) -> str | None:
-    """The narrowest array typecode of "H", "I", "Q" that holds 0..top."""
-    return next((c for c in "HIQ" if top >> 8 * array(c).itemsize == 0), None)
+# the typecodes rows may take, narrowest first, with their bits an entry
+_WIDTHS = tuple((code, 8 * array(code).itemsize) for code in "HIQ")
 
 
 def _prefix_rows(n: int, perm: Sequence[int], steps: Sequence[int], top: int) -> list[Sequence[int]]:
     """Rows 0..n of n + 1 entries, all in 0..top: row 0 is zeros, and row
     h is row h - 1 with steps[h-1] added to its entries from perm[h-1] on.
 
-    Rows are arrays of ``_typecode(top)``, so no entry is an int object
-    of its own.  The row's bytes are kept as one int, ``acc``, and each
-    row adds d times an int with a 1 in each field of its suffix, then
-    unpacks: no field carries into the next, since none exceeds top.
-    Past "Q" rows are lists, raised entry by entry."""
-    code = _typecode(top)
+    Rows are arrays of the narrowest typecode whose entries hold top, so
+    no entry is an int object of its own.  The row's bytes are kept as
+    one int, ``acc``, and each row adds d times an int with a 1 in each
+    field of its suffix, then unpacks: no field carries into the next,
+    since none exceeds top.  Past "Q" rows are lists, raised entry by
+    entry."""
+    code, bits = next(((c, b) for c, b in _WIDTHS if top >> b == 0), (None, 0))
     if code is None:
         rows: list = [[0] * (n + 1)]
         for k, d in zip(perm, steps):
@@ -47,16 +47,17 @@ def _prefix_rows(n: int, perm: Sequence[int], steps: Sequence[int], top: int) ->
             row[k:] = map(d.__add__, row[k:])
             rows.append(row)
         return rows
-    size, order = array(code).itemsize, sys.byteorder
-    ones = int.from_bytes(array(code, [1]) * (n + 1), order)
+    nbytes, little = bits // 8 * (n + 1), sys.byteorder == "little"
+    # a 1 in each of the n + 1 fields
+    ones = ((1 << bits * (n + 1)) - 1) // ((1 << bits) - 1)
     acc = 0
-    rows = [array(code, bytes(size * (n + 1)))]
+    rows = [array(code, bytes(nbytes))]
     for k, d in zip(perm, steps):
         if d:
             # fields k..n: the high ones in little-endian order, the low in big
-            raised = d * (ones >> 8 * size * k)
-            acc += raised << 8 * size * k if order == "little" else raised
-        rows.append(array(code, acc.to_bytes(size * (n + 1), order)))
+            raised = d * (ones >> bits * k)
+            acc += raised << bits * k if little else raised
+        rows.append(array(code, acc.to_bytes(nbytes, sys.byteorder)))
     return rows
 
 
