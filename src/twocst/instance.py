@@ -29,7 +29,7 @@ Weight = int
 _WIDTHS = tuple((code, 8 * array(code).itemsize) for code in "HIQ")
 
 
-def _prefix_rows(n: int, perm: Sequence[int], steps: Sequence[int], top: int) -> list[Sequence[int]]:
+def _prefix_rows(n: int, perm: Sequence[int], steps: Iterable[int], top: int) -> list[Sequence[int]]:
     """Rows 0..n of n + 1 entries, all in 0..top: row 0 is zeros, and row
     h is row h - 1 with steps[h-1] added to its entries from perm[h-1] on.
 
@@ -37,27 +37,27 @@ def _prefix_rows(n: int, perm: Sequence[int], steps: Sequence[int], top: int) ->
     no entry is an int object of its own.  The row's bytes are kept as
     one int, ``acc``, and each row adds d times an int with a 1 in each
     field of its suffix, then unpacks: no field carries into the next,
-    since none exceeds top.  Past "Q" rows are lists, raised entry by
-    entry."""
-    code, bits = next(((c, b) for c, b in _WIDTHS if top >> b == 0), (None, 0))
-    if code is None:
+    since none exceeds top.  Past "Q" rows are lists, raised by entry."""
+    for code, bits in _WIDTHS:
+        if top >> bits == 0:
+            break
+    else:
         rows: list = [[0] * (n + 1)]
         for k, d in zip(perm, steps):
             row = rows[-1][:]
             row[k:] = map(d.__add__, row[k:])
             rows.append(row)
         return rows
-    nbytes, little = bits // 8 * (n + 1), sys.byteorder == "little"
-    # a 1 in each of the n + 1 fields
-    ones = ((1 << bits * (n + 1)) - 1) // ((1 << bits) - 1)
+    nbytes, order = bits // 8 * (n + 1), sys.byteorder
+    ones = ((1 << bits * (n + 1)) - 1) // ((1 << bits) - 1)  # a 1 in each field
     acc = 0
     rows = [array(code, bytes(nbytes))]
     for k, d in zip(perm, steps):
         if d:
             # fields k..n: the high ones in little-endian order, the low in big
             raised = d * (ones >> bits * k)
-            acc += raised << bits * k if little else raised
-        rows.append(array(code, acc.to_bytes(nbytes, sys.byteorder)))
+            acc += raised << bits * k if order == "little" else raised
+        rows.append(array(code, acc.to_bytes(nbytes, order)))
     return rows
 
 
@@ -101,7 +101,7 @@ class WeightedInstance:
         bytes an entry, or lists of ints for weights totalling 2^64 or
         more."""
         perm = self.asc_perm
-        pw = _prefix_rows(self.n, perm, [self._w[k] for k in perm], self.total)
+        pw = _prefix_rows(self.n, perm, map(self._w.__getitem__, perm), self.total)
         pc = _prefix_rows(self.n, perm, [1] * self.n, self.n)
         return pw, pc
 
