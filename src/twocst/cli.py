@@ -28,7 +28,7 @@ from pathlib import Path
 from .dp_core import solve_full
 from .errors import ParseError, PreconditionError, TwocstError
 from .instance import WeightedInstance, load_instance, new_instance
-from .oracle import brute_force_optimal
+from .oracle import MAX_ORACLE_KEYS, brute_force_optimal
 from .pruned import SolveStats, solve_bounded_const, solve_bounded_log, solve_pruned
 from .structure import (
     GeneratorSpec,
@@ -122,28 +122,42 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+# the flags each verify suite reads, each with the suite keyword it sets
+VERIFY_FLAGS = {
+    "counterexamples": {},
+    "thresholds": {"cases": "cases", "n": "max_n", "seed": "seed"},
+    "oracle": {"cases": "cases", "n": "max_n", "seed": "seed"},
+    "pattern-claims": {"p": "p"},
+    "geometric": {"n": "n"},
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
-    # a suite of zero cases checks nothing, and no suite draws zero keys
-    for flag, value in (("--cases", args.cases), ("--n", args.n)):
-        if value is not None and value < 1:
-            raise ParseError(f"{flag} must be at least 1, got {value}")
-
-    def flags(**given) -> dict:
-        """The flags given on the command line; a suite's own defaults
-        stand for the rest."""
-        return {name: value for name, value in given.items() if value is not None}
-
-    if suite == "counterexamples":
-        results = suite_counterexamples()
-    elif suite == "thresholds":
-        results = suite_thresholds(**flags(cases=args.cases, max_n=args.n, seed=args.seed))
-    elif suite == "oracle":
-        results = suite_oracle(**flags(cases=args.cases, max_n=args.n, seed=args.seed))
-    elif suite == "pattern-claims":
-        results = suite_pattern_claims(**flags(p=args.p))
-    else:
-        results = suite_geometric(**flags(n=args.n))
+    reads = VERIFY_FLAGS[suite]
+    # flags left out keep the suite's own defaults; a flag the suite does
+    # not read is refused rather than ignored
+    kwargs = {}
+    for flag in ("cases", "n", "seed", "p"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in reads:
+            raise ParseError(f"verify {suite} takes no --{flag}")
+        # a suite of zero cases checks nothing, and no suite draws zero keys
+        if flag in ("cases", "n") and value < 1:
+            raise ParseError(f"--{flag} must be at least 1, got {value}")
+        kwargs[reads[flag]] = value
+    if suite == "oracle" and kwargs.get("max_n", 0) > MAX_ORACLE_KEYS:
+        raise ParseError(f"--n {args.n} exceeds the oracle's cap of {MAX_ORACLE_KEYS} keys")
+    run = {
+        "counterexamples": suite_counterexamples,
+        "thresholds": suite_thresholds,
+        "oracle": suite_oracle,
+        "pattern-claims": suite_pattern_claims,
+        "geometric": suite_geometric,
+    }[suite]
+    results = run(**kwargs)
     ok = all(r.ok for r in results)
     print(
         json.dumps(
@@ -320,14 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run a named check suite")
-    p_verify.add_argument(
-        "suite",
-        choices=("counterexamples", "thresholds", "oracle", "pattern-claims", "geometric"),
-    )
-    p_verify.add_argument("--cases", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--p", type=int, default=None, help="pattern size exponent")
+    p_verify.add_argument("suite", choices=VERIFY_FLAGS)
+    p_verify.add_argument("--cases", type=int, default=None, help="random cases (thresholds, oracle)")
+    p_verify.add_argument("--n", type=int, default=None, help="largest key count (thresholds, oracle) or key count (geometric)")
+    p_verify.add_argument("--seed", type=int, default=None, help="random seed (thresholds, oracle)")
+    p_verify.add_argument("--p", type=int, default=None, help="pattern size exponent (pattern-claims)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_qi = sub.add_parser("qi", help="write quadrangle-inequality maps (.csv and .pgm)")

@@ -106,6 +106,8 @@ class WeightedInstance:
         return pw, pc
 
     def weight_of(self, k: int) -> int:
+        if not 0 < k <= self.n:
+            raise PreconditionError(f"key {k} outside 1..{self.n}")
         return self._w[k]
 
     def key_of_rank(self, r: int) -> int:

@@ -18,14 +18,15 @@ heading the subtree for ``state``:
 * ``("split", l, left, right)``: the cut after key l, built as
   ``LtNode(l + 1)`` over ``left``'s and ``right``'s subtrees.
 
-All traversals here are iterative so deep chain-shaped trees never hit
-the interpreter recursion limit.
+Finished trees are read through two helpers with explicit stacks, so
+deep chains never hit the recursion limit: ``_walk`` yields the nodes
+in pre-order and ``_fold`` folds values from the leaves up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 from .errors import ParseError, PreconditionError, TwocstError
 from .instance import WeightedInstance
@@ -55,6 +56,7 @@ class LtNode:
 
 
 Node = Union[Leaf, EqNode, LtNode]
+T = TypeVar("T")
 
 
 def build_tree(root: object, step: Callable[[object], tuple]) -> Node:
@@ -86,44 +88,52 @@ def build_tree(root: object, step: Callable[[object], tuple]) -> Node:
     return out[0]
 
 
+def _walk(tree: Node) -> Iterator[tuple[Node, int, int | None, str]]:
+    """Pre-order ``(node, depth, parent_index, edge)``, yes before no:
+    nodes are numbered in the order they are yielded, the root has
+    parent None and edge ""."""
+    stack: list[tuple[Node, int, int | None, str]] = [(tree, 0, None, "")]
+    index = 0
+    while stack:
+        item = stack.pop()
+        yield item
+        node = item[0]
+        if not isinstance(node, Leaf):
+            stack.append((node.no, item[1] + 1, index, "no"))
+            stack.append((node.yes, item[1] + 1, index, "yes"))
+        index += 1
+
+
+def _fold(tree: Node, leaf: Callable[[Leaf], T], inner: Callable[[Node, T, T], T]) -> T:
+    """Bottom-up fold: ``leaf(node)`` at a leaf, ``inner(node, yes_value,
+    no_value)`` at a test."""
+    vals: list[T] = []
+    # reversed, the walk meets each test right after its no subtree and
+    # its yes subtree, so the yes value is on top of the no value
+    for node in reversed([item[0] for item in _walk(tree)]):
+        vals.append(leaf(node) if isinstance(node, Leaf) else inner(node, vals.pop(), vals.pop()))
+    return vals[0]
+
+
 def cost(tree: Node, inst: WeightedInstance) -> int:
     """Weighted test count, verified against the subtree-weight identity."""
-    leaf_sum = 0
+    weight = inst.weight_of
+    leaf_sum = sum(weight(node.key) * depth for node, depth, _, _ in _walk(tree) if isinstance(node, Leaf))
     internal_sum = 0
-    vals: list[int] = []
-    stack: list[tuple[Node, int, bool]] = [(tree, 0, False)]
-    while stack:
-        node, depth, seen = stack.pop()
-        if isinstance(node, Leaf):
-            w = inst.weight_of(node.key)
-            leaf_sum += w * depth
-            vals.append(w)
-            continue
-        if not seen:
-            stack.append((node, depth, True))
-            stack.append((node.yes, depth + 1, False))
-            stack.append((node.no, depth + 1, False))
-        else:
-            wy = vals.pop()
-            wn = vals.pop()
-            internal_sum += wy + wn
-            vals.append(wy + wn)
+
+    def inner(_node: Node, wy: int, wn: int) -> int:
+        nonlocal internal_sum
+        internal_sum += wy + wn
+        return wy + wn
+
+    _fold(tree, lambda node: weight(node.key), inner)
     if leaf_sum != internal_sum:
         raise TwocstError("cost accounting mismatch between depth sum and subtree sum")
     return leaf_sum
 
 
 def subtree_weight(tree: Node, inst: WeightedInstance) -> int:
-    total = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            total += inst.weight_of(node.key)
-        else:
-            stack.append(node.yes)
-            stack.append(node.no)
-    return total
+    return sum(inst.weight_of(node.key) for node, _, _, _ in _walk(tree) if isinstance(node, Leaf))
 
 
 def side_weight(node: Node, inst: WeightedInstance) -> int:
@@ -158,45 +168,28 @@ def check_side_weight_all_edges(
 ) -> list[tuple[Node, Node, int, int]]:
     """Side weights must never increase from any internal node to an
     internal child, anywhere in the tree; returns (parent, child,
-    parent_side_weight, child_side_weight) violations.  One bottom-up
-    pass, so safe on deep chains."""
+    parent_side_weight, child_side_weight) violations."""
     violations: list[tuple[Node, Node, int, int]] = []
-    vals: list[tuple[int, int, Node]] = []
-    stack: list[tuple[Node, bool]] = [(tree, False)]
-    while stack:
-        node, seen = stack.pop()
-        if isinstance(node, Leaf):
-            vals.append((inst.weight_of(node.key), 0, node))
-            continue
-        if not seen:
-            stack.append((node, True))
-            stack.append((node.yes, False))
-            stack.append((node.no, False))
-        else:
-            wy, swy, ynode = vals.pop()
-            wn, swn, nnode = vals.pop()
-            if isinstance(node, EqNode):
-                sw = inst.weight_of(node.key)
-            else:
-                sw = min(wy, wn)
-            for cw, cnode in ((swy, ynode), (swn, nnode)):
-                if not isinstance(cnode, Leaf) and cw > sw:
-                    violations.append((node, cnode, sw, cw))
-            vals.append((wy + wn, sw, node))
+
+    def inner(node: Node, yes: tuple[int, int, Node], no: tuple[int, int, Node]) -> tuple[int, int, Node]:
+        # each value is (subtree weight, side weight, node)
+        sw = inst.weight_of(node.key) if isinstance(node, EqNode) else min(yes[0], no[0])
+        for _, cw, child in (yes, no):
+            if not isinstance(child, Leaf) and cw > sw:
+                violations.append((node, child, sw, cw))
+        return yes[0] + no[0], sw, node
+
+    _fold(tree, lambda node: (inst.weight_of(node.key), 0, node), inner)
     return violations
 
 
 def depth_map(tree: Node) -> dict[int, int]:
-    """Leaf depth per key."""
+    """Leaf depth per key; a key on two leaves keeps the depth of the
+    first one the walk meets."""
     depths: dict[int, int] = {}
-    stack: list[tuple[Node, int]] = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
+    for node, depth, _, _ in _walk(tree):
         if isinstance(node, Leaf):
-            depths[node.key] = depth
-        else:
-            stack.append((node.yes, depth + 1))
-            stack.append((node.no, depth + 1))
+            depths.setdefault(node.key, depth)
     return depths
 
 
@@ -218,19 +211,11 @@ def validate(tree: Node, inst: WeightedInstance, keys: list[int] | None = None) 
     if len(set(want)) != len(want):
         raise TwocstError("duplicate keys in validation set")
 
-    leaves: list[int] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if not 1 <= node.key <= inst.n:
-            defects.append(f"node key {node.key} outside 1..{inst.n}")
-        if isinstance(node, Leaf):
-            leaves.append(node.key)
-        else:
-            stack.append(node.yes)
-            stack.append(node.no)
-    if sorted(leaves) != want:
-        defects.append(f"leaf keys {sorted(leaves)} != expected {want}")
+    nodes = [item[0] for item in _walk(tree)]
+    defects += [f"node key {node.key} outside 1..{inst.n}" for node in nodes if not 1 <= node.key <= inst.n]
+    leaves = sorted(node.key for node in nodes if isinstance(node, Leaf))
+    if leaves != want:
+        defects.append(f"leaf keys {leaves} != expected {want}")
 
     for q in want:
         node = tree
@@ -245,20 +230,10 @@ def validate(tree: Node, inst: WeightedInstance, keys: list[int] | None = None) 
 
 
 def to_json(tree: Node) -> dict:
-    out: dict = {}
-    stack: list[tuple[Node, dict]] = [(tree, out)]
-    while stack:
-        node, slot = stack.pop()
-        slot["key"] = node.key
-        if isinstance(node, Leaf):
-            slot["kind"] = "leaf"
-        else:
-            slot["kind"] = "eq" if isinstance(node, EqNode) else "lt"
-            slot["yes"] = {}
-            slot["no"] = {}
-            stack.append((node.yes, slot["yes"]))
-            stack.append((node.no, slot["no"]))
-    return out
+    def inner(node: Node, yes: dict, no: dict) -> dict:
+        return {"key": node.key, "kind": "eq" if isinstance(node, EqNode) else "lt", "yes": yes, "no": no}
+
+    return _fold(tree, lambda node: {"key": node.key, "kind": "leaf"}, inner)
 
 
 def from_json(obj: dict) -> Node:
@@ -291,19 +266,12 @@ def from_json(obj: dict) -> Node:
 def to_dot(tree: Node, name: str = "tree") -> str:
     """Graphviz rendering with '=k' / '<k' test labels."""
     lines = [f"digraph {name} {{", "  node [shape=box];"]
-    counter = 0
-    stack: list[tuple[Node, int | None, str]] = [(tree, None, "")]
-    while stack:
-        node, parent, edge = stack.pop()
-        nid = counter
-        counter += 1
+    for nid, (node, _, parent, edge) in enumerate(_walk(tree)):
         if isinstance(node, Leaf):
             lines.append(f'  n{nid} [label="{node.key}" shape=ellipse];')
         else:
             op = "=" if isinstance(node, EqNode) else "<"
             lines.append(f'  n{nid} [label="{op}{node.key}"];')
-            stack.append((node.no, nid, "no"))
-            stack.append((node.yes, nid, "yes"))
         if parent is not None:
             lines.append(f'  n{parent} -> n{nid} [label="{edge}"];')
     lines.append("}")

@@ -250,6 +250,47 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("n,unfired", [("1", 5), ("3", 3)])
+    def test_threshold_claims_that_never_fire_fail(self, capsys, n, unfired):
+        # one key has no root split to test, and three cases of at most
+        # three keys fire two claims; a claim never tested must not pass
+        code, out, _ = run(capsys, "verify", "thresholds", "--n", n, "--cases", "3")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert len(results) == 5
+        silent = [r for r in results if r["detail"].startswith("fired 0 times")]
+        assert len(silent) == unfired
+        assert not any(r["ok"] for r in silent)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexamples", "--n", "5"],
+            ["geometric", "--cases", "3"],
+            ["geometric", "--seed", "1"],
+            ["oracle", "--p", "2"],
+            ["thresholds", "--p", "2"],
+            ["geometric", "--p", "2"],
+            ["pattern-claims", "--cases", "3"],
+            ["pattern-claims", "--n", "3"],
+            ["pattern-claims", "--seed", "3"],
+        ],
+    )
+    def test_flags_the_suite_does_not_read_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"verify {argv[0]} takes no {argv[1]}" in err
+
+    @pytest.mark.parametrize("n", ["23", "30"])
+    def test_oracle_keys_above_the_cap_are_usage_errors(self, capsys, monkeypatch, n):
+        # refused before any case is drawn, so no draw decides the outcome
+        monkeypatch.setattr("twocst.cli.suite_oracle", lambda **_: pytest.fail("suite ran"))
+        code, out, err = run(capsys, "verify", "oracle", "--n", n, "--cases", "20")
+        assert code == 2
+        assert out == ""
+        assert "cap of 22 keys" in err
+
 
 class TestQi:
     def test_weights_flag_and_determinism(self, capsys, tmp_path):

@@ -167,6 +167,34 @@ def test_optimal_trees_have_side_weights_monotone_on_every_edge(ws):
     assert check_side_weight_all_edges(tree, inst) == []
 
 
+def test_cost_refuses_keys_outside_the_instance():
+    inst = new_instance([1, 2, 30])
+    # key -1 must not read key 3's weight through a wrapped index
+    with pytest.raises(PreconditionError):
+        cost(LtNode(2, Leaf(1), EqNode(-1, Leaf(-1), Leaf(3))), inst)
+    for k in (0, 4, -1):
+        with pytest.raises(PreconditionError):
+            inst.weight_of(k)
+    assert [inst.weight_of(k) for k in (1, 2, 3)] == [1, 2, 30]
+
+
+def test_tree_readers_are_iterative_on_deep_chains():
+    # an equality chain far deeper than the recursion limit, with side
+    # weights falling along it
+    n = 5000
+    inst = new_instance(list(range(n, 0, -1)))
+    tree = build_tree(1, lambda k: ("leaf", k) if k == n else ("eq", k, k + 1))
+    depths = depth_map(tree)
+    assert depths[1] == 1 and depths[n] == n - 1
+    assert cost(tree, inst) == sum(inst.weight_of(k) * d for k, d in depths.items())
+    assert subtree_weight(tree, inst) == inst.total
+    assert check_side_weight_all_edges(tree, inst) == []
+    assert validate(tree, inst, keys=[1]).defects == [f"leaf keys {list(range(1, n + 1))} != expected [1]"]
+    dot = to_dot(tree)
+    assert to_dot(from_json(to_json(tree))) == dot
+    assert dot.count("->") == 2 * (n - 1)
+
+
 def test_build_tree_is_iterative_on_deep_chains():
     depth = 100_000
 
@@ -238,6 +266,26 @@ PINNED_CHOICES = "f47b10b1b69e5c02cdb3f413baaf549115bf3fa155e85a2b634662120da8e7
 # the same digest over the oracle's trees on the pin instances with
 # n <= 12, recorded before any rewrite of the oracle
 PINNED_ORACLE = "5e83218b2694480f1a13a0fc70dbcf5beb128d7eeaa615a2ca1f506f28f07ef8"
+
+
+# sha256 over the bytes ``twocst solve --tree/--dot`` writes for the full
+# solver's tree on every pin instance: the JSON with indent=2 in the key
+# order ``to_json`` builds, and the dot text; the constants date from
+# before the tree traversals shared one walk and one fold
+PINNED_TREE_FILES = {
+    "json": "89883fbc9aae69f19f1cf50b04d5db197eeede3bc9ecb2a2eac1addd2969f679",
+    "dot": "0099b7041924da3079a8c7a57d699f1fc681b1ef16e8c4857be01a85ce428686",
+}
+
+
+def test_tree_file_bytes_are_pinned():
+    trees = [solve_full(new_instance(ws))[2] for ws in _pin_weights()]
+    assert len(trees) == 41
+    got = {
+        "json": _digest(json.dumps(to_json(t), indent=2) for t in trees),
+        "dot": _digest(to_dot(t) for t in trees),
+    }
+    assert got == PINNED_TREE_FILES
 
 
 def test_solver_trees_are_pinned():
