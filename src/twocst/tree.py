@@ -108,8 +108,8 @@ def _fold(tree: Node, leaf: Callable[[Leaf], T], inner: Callable[[Node, T, T], T
     """Bottom-up fold: ``leaf(node)`` at a leaf, ``inner(node, yes_value,
     no_value)`` at a test."""
     vals: list[T] = []
-    # reversed, the walk meets each test right after its no subtree and
-    # its yes subtree, so the yes value is on top of the no value
+    # read backwards, the walk reaches each test after its yes subtree and
+    # that after its no subtree, so the yes value is on top of the no value
     for node in reversed([item[0] for item in _walk(tree)]):
         vals.append(leaf(node) if isinstance(node, Leaf) else inner(node, vals.pop(), vals.pop()))
     return vals[0]
