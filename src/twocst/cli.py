@@ -122,21 +122,31 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-# the flags each verify suite reads, each with the suite keyword it sets
-VERIFY_FLAGS = {
-    "counterexamples": {},
-    "thresholds": {"cases": "cases", "n": "max_n", "seed": "seed"},
-    "oracle": {"cases": "cases", "n": "max_n", "seed": "seed"},
-    "pattern-claims": {"p": "p"},
-    "geometric": {"n": "n"},
+# each verify suite: its function, and the flags it reads, each with the
+# suite keyword it sets and the least and greatest value it takes (None:
+# no bound). A run of zero cases checks nothing and no suite draws zero
+# keys; geometric starts at 5 keys, where a cut root first wins strictly
+# at ratio 7/10 (below that the two root types tie)
+VERIFY_SUITES = {
+    "counterexamples": (suite_counterexamples, {}),
+    "thresholds": (
+        suite_thresholds,
+        {"cases": ("cases", 1, None), "n": ("max_n", 1, None), "seed": ("seed", None, None)},
+    ),
+    "oracle": (
+        suite_oracle,
+        {"cases": ("cases", 1, None), "n": ("max_n", 1, MAX_ORACLE_KEYS), "seed": ("seed", None, None)},
+    ),
+    "pattern-claims": (suite_pattern_claims, {"p": ("p", 1, None)}),
+    "geometric": (suite_geometric, {"n": ("n", 5, None)}),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
-    reads = VERIFY_FLAGS[suite]
+    run, reads = VERIFY_SUITES[suite]
     # flags left out keep the suite's own defaults; a flag the suite does
-    # not read is refused rather than ignored
+    # not read, or a value outside its domain, is refused before any work
     kwargs = {}
     for flag in ("cases", "n", "seed", "p"):
         value = getattr(args, flag)
@@ -144,19 +154,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             continue
         if flag not in reads:
             raise ParseError(f"verify {suite} takes no --{flag}")
-        # a suite of zero cases checks nothing, and no suite draws zero keys
-        if flag in ("cases", "n") and value < 1:
-            raise ParseError(f"--{flag} must be at least 1, got {value}")
-        kwargs[reads[flag]] = value
-    if suite == "oracle" and kwargs.get("max_n", 0) > MAX_ORACLE_KEYS:
-        raise ParseError(f"--n {args.n} exceeds the oracle's cap of {MAX_ORACLE_KEYS} keys")
-    run = {
-        "counterexamples": suite_counterexamples,
-        "thresholds": suite_thresholds,
-        "oracle": suite_oracle,
-        "pattern-claims": suite_pattern_claims,
-        "geometric": suite_geometric,
-    }[suite]
+        keyword, least, greatest = reads[flag]
+        if least is not None and value < least:
+            raise ParseError(f"--{flag} must be at least {least}, got {value}")
+        # only key counts carry a greatest value
+        if greatest is not None and value > greatest:
+            raise ParseError(f"--{flag} {value} exceeds verify {suite}'s cap of {greatest} keys")
+        kwargs[keyword] = value
     results = run(**kwargs)
     ok = all(r.ok for r in results)
     print(
@@ -334,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run a named check suite")
-    p_verify.add_argument("suite", choices=VERIFY_FLAGS)
+    p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--cases", type=int, default=None, help="random cases (thresholds, oracle)")
     p_verify.add_argument("--n", type=int, default=None, help="largest key count (thresholds, oracle) or key count (geometric)")
     p_verify.add_argument("--seed", type=int, default=None, help="random seed (thresholds, oracle)")

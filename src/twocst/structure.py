@@ -578,10 +578,33 @@ class CheckResult:
     detail: str
 
 
+def _tally(points) -> list[CheckResult]:
+    """One result per claim, in the order the claims first appear, from
+    ``(claim, fired, held, witness)`` points.  A claim fails when a fired
+    point does not hold, and also when no point fired: a claim never
+    tested has not passed.  The detail quotes the first failing witness,
+    or else the first one that held."""
+    counts: dict[str, list] = {}
+    for claim, fired, held, witness in points:
+        count = counts.setdefault(claim, [0, 0, None])
+        if fired:
+            count[0] += 1
+            count[1] += not held
+            if count[2] is None or (not held and count[1] == 1):
+                count[2] = witness
+    out = []
+    for claim, (fired, failed, witness) in counts.items():
+        detail = f"fired {fired} times, {failed} failures"
+        if fired:
+            detail += f"; {'first failure ' if failed else ''}{witness}"
+        out.append(CheckResult(claim, fired > 0 and not failed, detail))
+    return out
+
+
 def suite_counterexamples() -> list[CheckResult]:
     """The named instances whose structure defeats the classic DP
     shortcuts, each verified from exact solver output."""
-    out: list[CheckResult] = []
+    points = []
 
     inst3 = new_instance(HEAVY_MID3)
     table3 = _fill(inst3)
@@ -593,26 +616,16 @@ def suite_counterexamples() -> list[CheckResult]:
     )
     qi3 = qi_table(inst3)
     ok3 = got == (11, 11, 14, 0) and (1, 3) in qi3.red_cells()
-    out.append(
-        CheckResult(
-            "heavy-mid-3key",
-            ok3,
-            f"corner costs {got}, quadrangle-red cells {qi3.red_cells()}",
-        )
-    )
+    detail = f"corner costs {got}, quadrangle-red cells {qi3.red_cells()}"
+    points.append(("heavy-mid-3key", True, ok3, detail))
 
     inst6 = new_instance(HEAVY_PAIR6)
     table6 = _fill(inst6)
     r16 = table6.minimizers_at((1, 6, 6))
     r26 = table6.minimizers_at((2, 6, 6))
     ok6 = r16.minimizers == (3,) and r26.minimizers == (2,)
-    out.append(
-        CheckResult(
-            "heavy-pair-6key",
-            ok6,
-            f"leftward cut shift: mins(1,6)={r16.minimizers}, mins(2,6)={r26.minimizers}",
-        )
-    )
+    detail = f"leftward cut shift: mins(1,6)={r16.minimizers}, mins(2,6)={r26.minimizers}"
+    points.append(("heavy-pair-6key", True, ok6, detail))
 
     fam_details = []
     fam_ok = True
@@ -626,9 +639,7 @@ def suite_counterexamples() -> list[CheckResult]:
         rhs = costs[1][n]
         fam_ok = fam_ok and lhs > rhs
         fam_details.append(f"s={halves}: {lhs} > {rhs}")
-    out.append(
-        CheckResult("heavy-mid-family-qi", fam_ok, "; ".join(fam_details))
-    )
+    points.append(("heavy-mid-family-qi", True, fam_ok, "; ".join(fam_details)))
 
     instz = new_instance(MIXED_ZEROS6)
     tablez = _fill(instz)
@@ -640,13 +651,8 @@ def suite_counterexamples() -> list[CheckResult]:
         and rz2.canonical == 3
         and any(v.i == 1 and v.j == 6 for v in sandwich)
     )
-    out.append(
-        CheckResult(
-            "mixed-zeros-sandwich",
-            okz,
-            f"restricted cuts L(1,6)={rz1.canonical} > L(2,6)={rz2.canonical}",
-        )
-    )
+    detail = f"restricted cuts L(1,6)={rz1.canonical} > L(2,6)={rz2.canonical}"
+    points.append(("mixed-zeros-sandwich", True, okz, detail))
 
     inste = new_instance(EPS_SEVEN)
     tablee = _fill(inste)
@@ -656,13 +662,8 @@ def suite_counterexamples() -> list[CheckResult]:
     # robust either way since L(1,6) exceeds every choice
     se2 = tablee.minimizers_at((2, 7, 7))
     oke = re1.canonical == 4 and re2.canonical == 3 and se2.minimizers == (2, 3)
-    out.append(
-        CheckResult(
-            "eps-seven-diagonal",
-            oke,
-            f"restricted cuts L(1,6)={re1.canonical} > L(2,7)={re2.canonical}",
-        )
-    )
+    detail = f"restricted cuts L(1,6)={re1.canonical} > L(2,7)={re2.canonical}"
+    points.append(("eps-seven-diagonal", True, oke, detail))
 
     instt = new_instance(TWELVE_KEY)
     tablet = _fill(instt)
@@ -678,32 +679,23 @@ def suite_counterexamples() -> list[CheckResult]:
         and 4 * m111 < w111
         and 4 * m212 < w212
     )
-    out.append(
-        CheckResult(
-            "twelve-key-diagonal",
-            okt,
-            f"unique L(1,11)={rt1.minimizers} > L(2,12)={rt2.minimizers}, both quarters light",
-        )
-    )
+    detail = f"unique L(1,11)={rt1.minimizers} > L(2,12)={rt2.minimizers}, both quarters light"
+    points.append(("twelve-key-diagonal", True, okt, detail))
 
     marg = marginal_advantage_check()
-    out.append(
-        CheckResult(
-            "marginal-root-flip",
-            marg["ok"],
-            f"prefix (eq {marg['prefix_eq']}, lt {marg['prefix_lt']}) vs "
-            f"full (eq {marg['full_eq']}, lt {marg['full_lt']})",
-        )
+    detail = (
+        f"prefix (eq {marg['prefix_eq']}, lt {marg['prefix_lt']}) vs "
+        f"full (eq {marg['full_eq']}, lt {marg['full_lt']})"
     )
-    return out
+    points.append(("marginal-root-flip", True, marg["ok"], detail))
+    return _tally(points)
 
 
 def suite_thresholds(cases: int = 500, max_n: int = 12, seed: int = 0) -> list[CheckResult]:
     """Random sweep of the threshold implications: every claim must fire
     at least once, and every fired premise must hold."""
     rng = random.Random(seed)
-    fired: dict[str, int] = {}
-    failed: dict[str, int] = {}
+    points = []
     for case in range(cases):
         n = rng.randint(1, max_n)
         weights = [rng.randint(0, 20) for _ in range(n)]
@@ -712,21 +704,12 @@ def suite_thresholds(cases: int = 500, max_n: int = 12, seed: int = 0) -> list[C
         if sum(weights) == 0:
             weights[rng.randrange(n)] = 1
         report = check_thresholds(new_instance(weights))
-        for name, state in report.checks.items():
-            fired[name] = fired.get(name, 0) + (state != "skipped")
-            if state == "fail":
-                failed[name] = failed.get(name, 0) + 1
-    out = []
-    for name in sorted(fired):
-        bad = failed.get(name, 0)
-        out.append(
-            CheckResult(
-                f"threshold-{name}",
-                bad == 0 and fired[name] > 0,
-                f"fired {fired[name]} times in {cases} cases, {bad} failures",
-            )
-        )
-    return out
+        witness = f"case {case} weights {weights}"
+        points += [
+            (f"threshold-{name}", state != "skipped", state == "pass", witness)
+            for name, state in sorted(report.checks.items())
+        ]
+    return _tally(points)
 
 
 def suite_oracle(cases: int = 200, max_n: int = 8, seed: int = 7) -> list[CheckResult]:
@@ -734,10 +717,7 @@ def suite_oracle(cases: int = 200, max_n: int = 8, seed: int = 7) -> list[CheckR
     solvers on small random instances (the hole-count solver only on
     all-positive draws, its admissible inputs)."""
     rng = random.Random(seed)
-    agree = 0
-    log_runs = 0
-    detail = ""
-    ok = True
+    points = []
     for case in range(cases):
         n = rng.randint(1, max_n)
         if case % 2 == 0:
@@ -746,62 +726,43 @@ def suite_oracle(cases: int = 200, max_n: int = 8, seed: int = 7) -> list[CheckR
             weights = [rng.randint(0, 10) for _ in range(n)]
         inst = new_instance(weights)
         want, _ = brute_force_optimal(inst)
-        _, got_full, _ = solve_full(inst)
-        got_pruned, _, _ = solve_pruned(inst)
-        costs = {"full": got_full, "pruned": got_pruned}
+        costs = {"full": solve_full(inst)[1], "pruned": solve_pruned(inst)[0]}
         if min(weights) >= 1:
-            log_runs += 1
-            costs["bounded-log"], _, _ = solve_bounded_log(inst)
-        if all(c == want for c in costs.values()):
-            agree += 1
-        elif ok:
-            ok = False
-            detail = f"case {case} weights {weights}: oracle {want}, got {costs}"
-    if ok:
-        detail = f"{agree}/{cases} agree (hole-count solver ran on {log_runs})"
-    return [CheckResult("oracle-agreement", ok, detail)]
+            costs["bounded-log"] = solve_bounded_log(inst)[0]
+        witness = f"case {case} weights {weights}: oracle {want}, got {costs}"
+        points.append(("oracle-agreement", True, set(costs.values()) == {want}, witness))
+    return _tally(points)
 
 
 def suite_pattern_claims(p: int = 3) -> list[CheckResult]:
+    """The balanced-pattern identities, one point per even n of the
+    identity band; each shift claim fires only on its own part of it."""
     claims = balanced_pattern_claims(p)
-    out = []
-    for name in ("identity", "left_shift", "prefix_shift"):
-        rows = claims[name]
-        bad = [r for r in rows if not r[3]]
-        out.append(
-            CheckResult(
-                f"pattern-{name}-p{p}",
-                not bad,
-                f"{len(rows) - len(bad)}/{len(rows)} band points hold"
-                + (f"; first failure {bad[0]}" if bad else ""),
-            )
-        )
-    return out
+    names = ("identity", "left_shift", "prefix_shift")
+    rows = {name: {row[0]: row for row in claims[name]} for name in names}
+    points = []
+    for n in rows["identity"]:
+        for name in names:
+            row = rows[name].get(n)
+            witness = row and f"n={n}: {row[1]} vs {row[2]}"
+            points.append((f"pattern-{name}-p{p}", row is not None, row and row[3], witness))
+    return _tally(points)
 
 
 def suite_geometric(n: int = 25) -> list[CheckResult]:
+    """Geometric weights at four ratios: the all-equality chain costs
+    its closed form, and the root type is equality at 4/7 and 11/20 and
+    a strictly cheaper cut at 7/10 (1/2 checks the chain only)."""
     gammas = [Fraction(4, 7), Fraction(11, 20), Fraction(1, 2), Fraction(7, 10)]
-    records = geometric_scan(n, gammas)
-    expected_root = {
-        Fraction(4, 7): "eq",
-        Fraction(11, 20): "eq",
-        Fraction(7, 10): "lt",
-    }
-    out = []
-    for rec in records:
-        g = rec["gamma"]
-        checks = [rec["chain_matches_closed_form"]]
-        want = expected_root.get(g)
-        if want == "eq":
-            checks.append(rec["eq_cost"] <= rec["lt_cost"])
-        elif want == "lt":
-            checks.append(rec["lt_cost"] < rec["eq_cost"])
-        out.append(
-            CheckResult(
-                f"geometric-{g.numerator}_{g.denominator}",
-                all(checks),
-                f"eq {rec['eq_cost']}, lt {rec['lt_cost']}, root {rec['root']}, "
-                f"chain closed form {'ok' if rec['chain_matches_closed_form'] else 'MISMATCH'}",
-            )
+    want_root = {Fraction(4, 7): "eq", Fraction(11, 20): "eq", Fraction(7, 10): "lt"}
+    points = []
+    for rec in geometric_scan(n, gammas):
+        g, chain_ok = rec["gamma"], rec["chain_matches_closed_form"]
+        # root reads "lt" only where a cut is strictly cheaper
+        held = chain_ok and want_root.get(g, rec["root"]) == rec["root"]
+        witness = (
+            f"eq {rec['eq_cost']}, lt {rec['lt_cost']}, root {rec['root']}, "
+            f"chain closed form {'ok' if chain_ok else 'MISMATCH'}"
         )
-    return out
+        points.append((f"geometric-{g.numerator}_{g.denominator}", True, held, witness))
+    return _tally(points)

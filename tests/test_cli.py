@@ -14,7 +14,7 @@ import pytest
 
 import twocst
 from twocst import TwocstError, from_json, hard_instance, new_instance, pattern_instance, validate
-from twocst.cli import main
+from twocst.cli import VERIFY_SUITES, main
 from twocst.structure import CheckResult, suite_geometric, suite_oracle, suite_thresholds
 
 
@@ -22,6 +22,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def replace_suite(monkeypatch, suite, fn):
+    """Run ``fn`` for a verify suite, keeping the suite's flag domains."""
+    monkeypatch.setitem(VERIFY_SUITES, suite, (fn, VERIFY_SUITES[suite][1]))
 
 
 def fields(stdout):
@@ -202,8 +207,9 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_verify_failures_exit_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "twocst.cli.suite_thresholds",
+        replace_suite(
+            monkeypatch,
+            "thresholds",
             lambda *_: [CheckResult("forced", False, "forced failure")],
         )
         code, out, _ = run(capsys, "verify", "thresholds")
@@ -285,11 +291,47 @@ class TestVerify:
     @pytest.mark.parametrize("n", ["23", "30"])
     def test_oracle_keys_above_the_cap_are_usage_errors(self, capsys, monkeypatch, n):
         # refused before any case is drawn, so no draw decides the outcome
-        monkeypatch.setattr("twocst.cli.suite_oracle", lambda **_: pytest.fail("suite ran"))
+        replace_suite(monkeypatch, "oracle", lambda **_: pytest.fail("suite ran"))
         code, out, err = run(capsys, "verify", "oracle", "--n", n, "--cases", "20")
         assert code == 2
         assert out == ""
         assert "cap of 22 keys" in err
+
+    @pytest.mark.parametrize(
+        "suite,flag,value,least",
+        [
+            ("pattern-claims", "--p", "0", 1),
+            ("pattern-claims", "--p", "-1", 1),
+            ("geometric", "--n", "1", 5),
+            ("geometric", "--n", "4", 5),
+            ("thresholds", "--cases", "0", 1),
+        ],
+    )
+    def test_values_below_the_domain_are_usage_errors(self, capsys, monkeypatch, suite, flag, value, least):
+        # refused by the flag table before the suite runs, not by the
+        # library's own precondition (exit 3) or a failed claim (exit 1)
+        replace_suite(monkeypatch, suite, lambda **_: pytest.fail("suite ran"))
+        code, out, err = run(capsys, "verify", suite, flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be at least {least}, got {value}" in err
+
+    def test_geometric_least_key_count_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "geometric", "--n", "5")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_pattern_claims_without_shift_band_points_fail(self, capsys):
+        # at p = 1 the identity band holds one row, n = 6, and neither
+        # shift claim has a band point there; an untested claim must fail
+        code, out, _ = run(capsys, "verify", "pattern-claims", "--p", "1")
+        assert code == 1
+        results = {r["name"]: r for r in json.loads(out)["results"]}
+        assert list(results) == ["pattern-identity-p1", "pattern-left_shift-p1", "pattern-prefix_shift-p1"]
+        assert results["pattern-identity-p1"]["ok"] is True
+        for name in ("pattern-left_shift-p1", "pattern-prefix_shift-p1"):
+            assert results[name]["ok"] is False
+            assert results[name]["detail"].startswith("fired 0 times")
 
 
 class TestQi:
