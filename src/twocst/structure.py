@@ -735,17 +735,15 @@ def suite_oracle(cases: int = 200, max_n: int = 8, seed: int = 7) -> list[CheckR
 
 
 def suite_pattern_claims(p: int = 3) -> list[CheckResult]:
-    """The balanced-pattern identities, one point per even n of the
-    identity band; each shift claim fires only on its own part of it."""
+    """The balanced-pattern identities, one point per row of each claim's
+    band; the shift bands are empty at p = 1, so those claims go untested."""
     claims = balanced_pattern_claims(p)
-    names = ("identity", "left_shift", "prefix_shift")
-    rows = {name: {row[0]: row for row in claims[name]} for name in names}
     points = []
-    for n in rows["identity"]:
-        for name in names:
-            row = rows[name].get(n)
-            witness = row and f"n={n}: {row[1]} vs {row[2]}"
-            points.append((f"pattern-{name}-p{p}", row is not None, row and row[3], witness))
+    for name in ("identity", "left_shift", "prefix_shift"):
+        claim = f"pattern-{name}-p{p}"
+        # an unfired point gives a claim with an empty band its result
+        points.append((claim, False, True, None))
+        points += [(claim, True, held, f"n={n}: {lhs} vs {rhs}") for n, lhs, rhs, held in claims[name]]
     return _tally(points)
 
 
