@@ -30,6 +30,13 @@ claim can be committed as the command's own output.  Checkouts are
 recorded as given, next to their ``git rev-parse HEAD`` where they have
 one.
 
+Every perfbench process of a side runs with ``PYTHONPYCACHEPREFIX`` set
+to a fresh directory of that side's own, so both sides import from the
+same kind of bytecode cache: a ``__pycache__`` left in one checkout is
+never read, and each side compiles its modules on its first run (on
+every run, for both, under ``PYTHONDONTWRITEBYTECODE``).  Without it a
+warm cache on one side only lowers that side's ``setup_s``.
+
     python3 scripts/bench_pair.py --base ../parent --change . --workload lab-structure --pairs 10 --out PAIRS.json
 
 Exits 2 before running anything if either checkout lacks
@@ -44,16 +51,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def run_bench(checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON result line of one perfbench run."""
+def run_bench(
+    checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int, env: dict
+) -> dict:
+    """The JSON result line of one perfbench run, in environment ``env``."""
     args = command + ["--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    done = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run(args, cwd=checkout, capture_output=True, text=True, env=env)
     if done.returncode:
         last = done.stderr.strip().rpartition("\n")[2]
         raise SystemExit(f"bench_pair: {' '.join(args)} in {checkout} exited {done.returncode}: {last}")
@@ -102,26 +113,28 @@ def main(argv=None) -> int:
             return 2
     seconds = specs["base"]["run_seconds"] if args.seconds is None else args.seconds
     bounds = {m["name"]: m["bound"] for m in specs["base"]["end_to_end"]}
+    with tempfile.TemporaryDirectory(prefix="bench_pair_pyc_") as caches:
+        envs = {side: {**os.environ, "PYTHONPYCACHEPREFIX": os.path.join(caches, side)} for side in sides}
 
-    values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
-    tally = {side: {"failed": 0, "attempted": 0} for side in sides}
-    for seed in range(1, args.pairs + 1):
-        order = ("base", "change") if seed % 2 else ("change", "base")
-        for side in order:
-            checkout = sides[side]
-            result = run_bench(checkout, specs[side]["command"], args.workload, seed, seconds, 0)
-            print(f"pair {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
-            for name, metric in perfbench_record(checkout, args.workload, seed, 0)["metrics"].items():
-                values[side].setdefault(name, []).append(metric["value"])
-            tally[side]["failed"] += result["failed"]
-            tally[side]["attempted"] += result["attempted"]
+        values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+        tally = {side: {"failed": 0, "attempted": 0} for side in sides}
+        for seed in range(1, args.pairs + 1):
+            order = ("base", "change") if seed % 2 else ("change", "base")
+            for side in order:
+                checkout = sides[side]
+                result = run_bench(checkout, specs[side]["command"], args.workload, seed, seconds, 0, envs[side])
+                print(f"pair {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
+                for name, metric in perfbench_record(checkout, args.workload, seed, 0)["metrics"].items():
+                    values[side].setdefault(name, []).append(metric["value"])
+                tally[side]["failed"] += result["failed"]
+                tally[side]["attempted"] += result["attempted"]
 
-    counters = {}
-    for side, checkout in sides.items():
-        traced = run_bench(checkout, specs[side]["command"], args.workload, 1, seconds, 1)
-        tally[side]["failed"] += traced["failed"]
-        tally[side]["attempted"] += traced["attempted"]
-        counters[side] = perfbench_record(checkout, args.workload, 1, 1)["counter_totals"]
+        counters = {}
+        for side, checkout in sides.items():
+            traced = run_bench(checkout, specs[side]["command"], args.workload, 1, seconds, 1, envs[side])
+            tally[side]["failed"] += traced["failed"]
+            tally[side]["attempted"] += traced["attempted"]
+            counters[side] = perfbench_record(checkout, args.workload, 1, 1)["counter_totals"]
     work = {side: {k: v for k, v in c.items() if not k.endswith("_mb")} for side, c in counters.items()}
 
     metrics = {}

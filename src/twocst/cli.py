@@ -87,8 +87,6 @@ def _root_type(tree: Node | None) -> str:
 def _run_algorithm(
     inst: WeightedInstance, algorithm: str, limit: int | None
 ) -> tuple[int, Node | None, SolveStats, float]:
-    if algorithm not in SOLVERS:
-        raise PreconditionError(f"unknown algorithm {algorithm!r}")
     start = time.perf_counter()
     best, tree, stats = SOLVERS[algorithm](inst, limit)
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -233,9 +231,9 @@ def cmd_qi(args: argparse.Namespace) -> int:
         raise ParseError("qi takes exactly one instance")
     label, inst = grid[0]
     table = qi_table(inst)
-    prefix = Path(args.out)
-    csv_path = prefix.with_suffix(".csv")
-    pgm_path = prefix.with_suffix(".pgm")
+    # appended, not swapped in: a prefix such as gamma_0.55 keeps its dot
+    csv_path = Path(args.out + ".csv")
+    pgm_path = Path(args.out + ".pgm")
     csv_path.write_text(table.to_csv())
     pgm_path.write_text(table.to_pgm())
     print(f"instance={label}")

@@ -15,7 +15,7 @@ so the fill numbers the h members 1..h in key order and computes one
 cell per member run a..b (a < b) that holds p, and one cut per member
 gap: every cut inside a gap leaves the same members on each side.  Most
 cells are settled without a full cut scan by the threshold rules of
-Anderson, Kannan, Karloff & Ladner:
+Anderson, Kannan, Karloff & Ladner, stated once in ``_thresholds``:
 
 * equality rule: if p holds at least 3/7 of the member weight
   (7·w_p >= 3·w), an equality test on p heads an optimal tree, so
@@ -93,6 +93,13 @@ def _best_cuts(rows: list[list[int]], i: int, j: int, lo: int, hi: int) -> tuple
     return best, tuple(l for l, v in enumerate(vals, lo) if v == best)
 
 
+def _thresholds(alpha: int) -> tuple[int, int]:
+    """(eq_max, cut_min) for a heaviest member of weight ``alpha``: by the
+    threshold rules, equality alone heads an optimal tree of member weight
+    w <= eq_max (7·alpha >= 3·w), a cut alone one of w > cut_min (4·alpha < w)."""
+    return 7 * alpha // 3, 4 * alpha
+
+
 def _step(inst: WeightedInstance, cost, sid: tuple[int, int, int]) -> tuple:
     """What an optimal tree for (i, j, h) does first, as a ``build_tree``
     step: ('leaf', key), ('eq', key, rest) or ('split', cut, left,
@@ -110,16 +117,11 @@ def _step(inst: WeightedInstance, cost, sid: tuple[int, int, int]) -> tuple:
         return ("leaf", key)
     pw_h = pw[h]
     w = pw_h[j] - pw_h[i - 1]
-    wp = inst.weight_of(key)
-    if 7 * wp < 3 * w:
+    eq_max, cut_min = _thresholds(inst.weight_of(key))
+    if w > eq_max:
         lo, hi = _quarter(pw_h, i, j)
-        split = None
-        for l in range(lo, hi):
-            v = cost(i, l, h) + cost(l + 1, j, h)
-            if split is None or v < split:
-                split = v
-                cut = l
-        if 4 * wp < w or cost(i, j, h - 1) > split:
+        split, cut = min((cost(i, l, h) + cost(l + 1, j, h), l) for l in range(lo, hi))
+        if w > cut_min or cost(i, j, h - 1) > split:
             return ("split", cut, (i, cut, h), (cut + 1, j, h))
     return ("eq", key, (i, j, h - 1))
 
@@ -233,9 +235,7 @@ def _fill(inst: WeightedInstance) -> DpTable:
         p = asc[h - 1]
         pc_h = pc[h]
         t = pc_h[p]
-        wp = inst.weight_of(p)
-        wp7 = 7 * wp
-        wp4 = 4 * wp
+        eq_max, cut_min = _thresholds(inst.weight_of(p))
         # member t is new: every entry for a..b with a <= t <= b moves to
         # the slot of the same members at level h, so before it is
         # overwritten it holds the level h-1 cost of a..b without t
@@ -255,7 +255,7 @@ def _fill(inst: WeightedInstance) -> DpTable:
                 cells += 1
                 mw_b = mw[b]
                 w = mw_b - mw_a
-                if wp7 >= 3 * w:
+                if w <= eq_max:
                     eq_prunes += 1
                     v = w + ra[b]
                 else:
@@ -271,7 +271,7 @@ def _fill(inst: WeightedInstance) -> DpTable:
                         )
                     cuts += hi - lo
                     split = min(map(add, ra[lo:hi], K[b][lo + 1 : hi + 1]))
-                    if wp4 < w:
+                    if w > cut_min:
                         lt_prunes += 1
                         v = w + split
                     else:

@@ -111,22 +111,28 @@ class WeightedInstance:
         return self._w[k]
 
     def key_of_rank(self, r: int) -> int:
+        if not 0 < r <= self.n:
+            raise PreconditionError(f"rank {r} outside 1..{self.n}")
         return self.asc_perm[r - 1]
 
     def rank_of_key(self, k: int) -> int:
+        if not 0 < k <= self.n:
+            raise PreconditionError(f"key {k} outside 1..{self.n}")
         return self._rank[k]
+
+    def _refuse(self, i: int, j: int, h: int) -> NoReturn:
+        """The interval accessors, ``sub_keys`` and those below, accept
+        1 <= i <= j + 1 <= n + 1 (j = i - 1 is the empty interval) and
+        0 <= h <= n, checked in one chained comparison per call, so no
+        row is ever read through a wrapped negative index."""
+        raise PreconditionError(f"subproblem {(i, j, h)} outside n={self.n}")
 
     def sub_keys(self, i: int, j: int, h: int) -> list[int]:
         """Keys of [i, j] among the h lightest, in key order."""
+        if not 0 < i <= j + 1 <= self.n + 1 > h >= 0:
+            self._refuse(i, j, h)
         rank = self._rank
         return [k for k in range(i, j + 1) if rank[k] <= h]
-
-    def _refuse(self, i: int, j: int, h: int) -> NoReturn:
-        """The interval accessors below accept 1 <= i <= j + 1 <= n + 1
-        (j = i - 1 is the empty interval) and 0 <= h <= n, checked in one
-        chained comparison per call, so no prefix row is ever read
-        through a wrapped negative index."""
-        raise PreconditionError(f"subproblem {(i, j, h)} outside n={self.n}")
 
     def sub_weight(self, i: int, j: int, h: int) -> int:
         if not 0 < i <= j + 1 <= self.n + 1 > h >= 0:

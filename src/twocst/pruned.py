@@ -33,7 +33,7 @@ from itertools import accumulate
 from math import ceil, log
 from operator import add
 
-from .dp_core import DpTable, _fill, _level, _quarter, _step
+from .dp_core import DpTable, _fill, _level, _quarter, _step, _thresholds
 from .errors import PreconditionError, TwocstError
 from .instance import WeightedInstance
 from .tree import Node, build_tree
@@ -103,12 +103,10 @@ def _evaluate(root, expand, memo: dict):
 
     ``expand(state)`` is a generator: it yields each child state it
     needs, is sent that child's value, and returns the state's value,
-    which is stored in ``memo`` once.  A child already in ``memo`` is
-    sent straight back without being expanded again.
+    which is stored in ``memo`` once.  ``root`` is expanded; a child
+    already in ``memo`` is sent straight back, not expanded again.
     """
-    value = memo.get(root)
-    if value is not None:
-        return value
+    value = None
     stack = [(root, expand(root))]
     while stack:
         state, gen = stack[-1]
@@ -194,9 +192,9 @@ def _top_down(inst: WeightedInstance, runs: bool, stats: SolveStats):
         if m == 2 and not runs:
             return w  # equality on the heavier key; the rest is a leaf
         top = asc[h]
-        wmax = w_arr[top]
+        eq_max, cut_min = _thresholds(w_arr[top])
         split = None
-        if runs and 7 * wmax >= 3 * w:
+        if runs and w <= eq_max:
             stats.eq_prunes += 1
             branch = "eq-only"
         else:
@@ -230,7 +228,7 @@ def _top_down(inst: WeightedInstance, runs: bool, stats: SolveStats):
                         k += 1
                         c += 1
                 stats.cutpoints_scanned += k - k0
-            if 4 * wmax < w:
+            if w > cut_min:
                 stats.lt_prunes += 1
                 branch = "lt-only"
             else:
@@ -352,20 +350,20 @@ def _interval_costs(
 
 def hole_free_costs(inst: WeightedInstance) -> list[list[int]]:
     """Interval cost matrix over all keys: costs[i][j] for 1 <= i <= j
-    <= n, zero when i >= j, from ``_interval_costs`` with q four times
-    the heaviest weight, and at least 4."""
-    return _interval_costs(inst, 4 * max(1, *inst.weights))[0]
+    <= n, zero when i >= j, from ``_interval_costs`` with q the cut
+    threshold of ``_thresholds`` at the heaviest weight, and at least 4."""
+    return _interval_costs(inst, _thresholds(max(1, *inst.weights))[1])[0]
 
 
 def solve_bounded_const(
     inst: WeightedInstance, limit: int | None = None
 ) -> tuple[int, Node, SolveStats]:
     """Exact solve for integer weights in [0, limit]: full-DP work is
-    confined to ``_interval_costs``'s windows with q = 4·limit, and the
-    intervals past them take quarter-balanced cuts only.  The counters
-    add the window tables' cells and cuts to the outside intervals and
-    their cuts.  Hole depth is not tracked here (windows hide it), so
-    ``max_hole_depth`` stays 0.
+    confined to ``_interval_costs``'s windows with q = 4·limit, the cut
+    threshold of ``_thresholds``, and the intervals past them take
+    quarter-balanced cuts only.  The counters add the window tables'
+    cells and cuts to the outside intervals and their cuts.  Hole depth
+    is not tracked here (windows hide it), so ``max_hole_depth`` stays 0.
     """
     n = inst.n
     if limit is None:
@@ -375,7 +373,7 @@ def solve_bounded_const(
     for k, w in enumerate(inst.weights, start=1):
         if not 0 <= w <= limit:
             raise PreconditionError(f"weight {w} of key {k} outside [0, {limit}]")
-    costs, stats, windows = _interval_costs(inst, 4 * limit)
+    costs, stats, windows = _interval_costs(inst, _thresholds(limit)[1])
     pc = inst._prefix[1]
 
     def cost(i: int, j: int, h: int) -> int:

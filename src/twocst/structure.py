@@ -23,7 +23,7 @@ from .errors import PreconditionError
 from .instance import WeightedInstance, new_instance
 from .oracle import brute_force_optimal
 from .pruned import hole_free_costs, solve_bounded_log, solve_pruned
-from .tree import EqNode, Leaf, Node, cost
+from .tree import Node, build_tree, cost
 
 # Three keys with a heavy middle: the smallest instance whose cost
 # matrix breaks the quadrangle inequality.
@@ -142,8 +142,8 @@ def heavy_mid_instance(heavy: int, halves: int) -> WeightedInstance:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative recipe for one instance; used by the command line
-    and the benchmark scripts so runs are reproducible from flags."""
+    """Declarative recipe for one instance; used by the command line so
+    runs are reproducible from flags."""
 
     kind: str
     n: int | None = None
@@ -463,10 +463,7 @@ def chain_tree(n: int) -> Node:
     deepest no-branch."""
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
-    node: Node = Leaf(n)
-    for k in range(n - 1, 0, -1):
-        node = EqNode(k, Leaf(k), node)
-    return node
+    return build_tree(1, lambda k: ("leaf", k) if k == n else ("eq", k, k + 1))
 
 
 def geometric_chain_closed_form(gamma: Fraction, n: int) -> Fraction:

@@ -7,9 +7,9 @@ of tests performed, which equals both the weighted leaf depth sum and
 the sum of subtree weights over internal nodes; ``cost`` computes the
 two independently and insists they agree.
 
-Every solver that produces a tree rebuilds it
-with ``build_tree(root, step)``, where ``step(state)`` names the test
-heading the subtree for ``state``:
+Every solver that produces a tree rebuilds it, and ``from_json`` reads
+one, with ``build_tree(root, step)``, where ``step(state)`` names the
+test heading the subtree for ``state``:
 
 * ``("leaf", key)``: a leaf; a key of None marks an empty subproblem,
   which has no tree and raises ``PreconditionError``;
@@ -237,30 +237,29 @@ def to_json(tree: Node) -> dict:
 
 
 def from_json(obj: dict) -> Node:
-    vals: list[Node] = []
-    stack: list[tuple[dict, bool]] = [(obj, False)]
-    while stack:
-        d, seen = stack.pop()
+    """Tree from ``to_json``'s dicts, built by ``build_tree`` with each
+    dict as its own state.  Every key must be an int, and an eq node's
+    yes side must be the leaf of its own key."""
+
+    def step(d: object) -> tuple:
         if not isinstance(d, dict) or "kind" not in d or "key" not in d:
             raise ParseError(f"bad tree node {d!r}")
-        kind = d["kind"]
+        kind, key = d["kind"], d["key"]
+        if type(key) is not int:
+            raise ParseError(f"tree node key {key!r} is not an int")
         if kind == "leaf":
-            vals.append(Leaf(int(d["key"])))
-        elif kind in ("eq", "lt"):
-            if not seen:
-                if "yes" not in d or "no" not in d:
-                    raise ParseError(f"{kind} node missing a child")
-                stack.append((d, True))
-                stack.append((d["yes"], False))
-                stack.append((d["no"], False))
-            else:
-                yes = vals.pop()
-                no = vals.pop()
-                cls = EqNode if kind == "eq" else LtNode
-                vals.append(cls(int(d["key"]), yes, no))
-        else:
+            return ("leaf", key)
+        if kind not in ("eq", "lt"):
             raise ParseError(f"unknown node kind {kind!r}")
-    return vals[0]
+        if "yes" not in d or "no" not in d:
+            raise ParseError(f"{kind} node missing a child")
+        if kind == "lt":
+            return ("split", key - 1, d["yes"], d["no"])
+        if step(d["yes"]) != ("leaf", key):
+            raise ParseError(f"eq node {key} has yes side {d['yes']!r}, not the leaf of key {key}")
+        return ("eq", key, d["no"])
+
+    return build_tree(obj, step)
 
 
 def to_dot(tree: Node, name: str = "tree") -> str:

@@ -381,6 +381,16 @@ class TestQi:
         assert hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256((tmp_path / "m.pgm").read_bytes()).hexdigest() == pgm_sha
 
+    def test_out_keeps_a_dotted_prefix(self, capsys, tmp_path):
+        # the two ratios write four files: neither .55 nor .6 is taken
+        # for a suffix to replace
+        for ratio in ("0.55", "0.6"):
+            code, out, _ = run(capsys, "qi", "--geometric", ratio, "--n", "12", "--out", str(tmp_path / f"gamma_{ratio}"))
+            assert code == 0
+            assert fields(out)["csv"] == str(tmp_path / f"gamma_{ratio}.csv")
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["gamma_0.55.csv", "gamma_0.55.pgm", "gamma_0.6.csv", "gamma_0.6.pgm"]
+
     def test_exactly_one_instance(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,

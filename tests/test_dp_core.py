@@ -15,7 +15,7 @@ from twocst import (
     solve_full,
     validate,
 )
-from twocst.dp_core import MEM_LIMIT_ENV
+from twocst.dp_core import MEM_LIMIT_ENV, _thresholds
 from twocst.errors import PreconditionError
 from twocst.pruned import refined_interval
 
@@ -131,6 +131,15 @@ def test_out_of_range_sid_is_rejected(sid):
     for query in (table.cost_at, table.step, table.choice_at, table.reconstruct, table.minimizers_at):
         with pytest.raises(PreconditionError, match="out of range"):
             query(sid)
+
+
+def test_thresholds_match_the_literal_inequalities():
+    # every member weight w in 0..7α+1 around both thresholds, α in 0..60
+    for alpha in range(61):
+        eq_max, cut_min = _thresholds(alpha)
+        for w in range(7 * alpha + 2):
+            assert (w <= eq_max) == (7 * alpha >= 3 * w), (alpha, w)
+            assert (w > cut_min) == (4 * alpha < w), (alpha, w)
 
 
 def test_root_split_costs_identity():

@@ -42,6 +42,24 @@ def test_ascending_permutation_breaks_ties_by_key():
     assert inst.rank_of_key(3) == 2
 
 
+def test_rank_accessors_refuse_out_of_range_arguments():
+    inst = new_instance([1, 10, 1])
+    for r in (0, -1, 4):
+        with pytest.raises(PreconditionError, match="rank"):
+            inst.key_of_rank(r)
+    for k in (0, -1, 4):
+        with pytest.raises(PreconditionError, match="key"):
+            inst.rank_of_key(k)
+    # a wrapped index would list the non-keys -1 and 0; past n the rank
+    # tuple would raise a bare IndexError
+    for sid in ((-1, 2, 3), (0, 2, 3), (3, 9, 3), (1, 3, 4), (1, 3, -1), (3, 1, 3)):
+        with pytest.raises(PreconditionError, match="outside"):
+            inst.sub_keys(*sid)
+    assert [inst.key_of_rank(r) for r in (1, 2, 3)] == [1, 3, 2]
+    assert [inst.rank_of_key(k) for k in (1, 2, 3)] == [1, 3, 2]
+    assert inst.sub_keys(2, 1, 3) == [] and inst.sub_keys(1, 3, 0) == []
+
+
 @given(WEIGHTS)
 def test_ascending_permutation_sorts_weights(ws):
     inst = new_instance(ws)

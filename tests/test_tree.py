@@ -12,6 +12,7 @@ from twocst import (
     EqNode,
     Leaf,
     LtNode,
+    ParseError,
     TwocstError,
     brute_force_optimal,
     cost,
@@ -136,8 +137,47 @@ def test_json_round_trip():
 def test_json_rejects_junk():
     from twocst.errors import ParseError
 
+    for junk in (
+        {"kind": "mystery"},
+        {"kind": "mystery", "key": 1},
+        {"kind": "lt", "key": 2, "yes": {"kind": "leaf", "key": 1}},
+        [],
+    ):
+        with pytest.raises(ParseError):
+            from_json(junk)
+
+
+def leaf(key):
+    return {"kind": "leaf", "key": key}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        leaf(1.7),
+        leaf(True),
+        leaf("x"),
+        leaf(None),
+        {"kind": "eq", "key": 2.9, "yes": leaf(2), "no": leaf(1)},
+        {"kind": "lt", "key": 2.0, "yes": leaf(1), "no": leaf(2)},
+        {"kind": "lt", "key": 2, "yes": leaf(1), "no": leaf(2.0)},
+    ],
+    ids=["float-leaf", "bool-leaf", "str-leaf", "none-leaf", "float-eq", "float-lt", "float-under-lt"],
+)
+def test_json_refuses_keys_that_are_not_ints(obj):
+    with pytest.raises(ParseError, match="is not an int"):
+        from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "yes",
+    [leaf(1), leaf(2.0), {"kind": "eq", "key": 2, "yes": leaf(2), "no": leaf(2)}, {"key": 2}],
+    ids=["other-key", "float-key", "eq-node", "no-kind"],
+)
+def test_json_refuses_eq_yes_sides_other_than_their_own_leaf(yes):
     with pytest.raises(ParseError):
-        from_json({"kind": "mystery"})
+        from_json({"kind": "eq", "key": 2, "yes": yes, "no": leaf(1)})
+    assert from_json({"kind": "eq", "key": 2, "yes": leaf(2), "no": leaf(1)}) == EqNode(2, Leaf(2), Leaf(1))
 
 
 def test_dot_output_mentions_every_key():
