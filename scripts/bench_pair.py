@@ -31,11 +31,13 @@ recorded as given, next to their ``git rev-parse HEAD`` where they have
 one.
 
 Every perfbench process of a side runs with ``PYTHONPYCACHEPREFIX`` set
-to a fresh directory of that side's own, so both sides import from the
-same kind of bytecode cache: a ``__pycache__`` left in one checkout is
-never read, and each side compiles its modules on its first run (on
-every run, for both, under ``PYTHONDONTWRITEBYTECODE``).  Without it a
-warm cache on one side only lowers that side's ``setup_s``.
+to a fresh directory of that side's own and without
+``PYTHONDONTWRITEBYTECODE``, so both sides import from the same kind of
+bytecode cache: a ``__pycache__`` left in one checkout is never read, and
+each perfbench run writes the cache before its set-up probes read it.
+Without this, a warm cache on one side only lowers that side's
+``setup_s``; and with writing off, each probe compiles the standard
+library's modules too, which multiplies ``setup_s`` several times over.
 
     python3 scripts/bench_pair.py --base ../parent --change . --workload lab-structure --pairs 10 --out PAIRS.json
 
@@ -114,7 +116,8 @@ def main(argv=None) -> int:
     seconds = specs["base"]["run_seconds"] if args.seconds is None else args.seconds
     bounds = {m["name"]: m["bound"] for m in specs["base"]["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pair_pyc_") as caches:
-        envs = {side: {**os.environ, "PYTHONPYCACHEPREFIX": os.path.join(caches, side)} for side in sides}
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+        envs = {side: {**env, "PYTHONPYCACHEPREFIX": os.path.join(caches, side)} for side in sides}
 
         values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
         tally = {side: {"failed": 0, "attempted": 0} for side in sides}
