@@ -385,9 +385,10 @@ class TestQi:
         # the two ratios write four files: neither .55 nor .6 is taken
         # for a suffix to replace
         for ratio in ("0.55", "0.6"):
-            code, out, _ = run(capsys, "qi", "--geometric", ratio, "--n", "12", "--out", str(tmp_path / f"gamma_{ratio}"))
+            prefix = str(tmp_path / f"gamma_{ratio}")
+            code, out, _ = run(capsys, "qi", "--geometric", ratio, "--n", "12", "--out", prefix)
             assert code == 0
-            assert fields(out)["csv"] == str(tmp_path / f"gamma_{ratio}.csv")
+            assert fields(out)["csv"] == prefix + ".csv"
         names = sorted(path.name for path in tmp_path.iterdir())
         assert names == ["gamma_0.55.csv", "gamma_0.55.pgm", "gamma_0.6.csv", "gamma_0.6.pgm"]
 

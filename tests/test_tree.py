@@ -135,8 +135,6 @@ def test_json_round_trip():
 
 
 def test_json_rejects_junk():
-    from twocst.errors import ParseError
-
     for junk in (
         {"kind": "mystery"},
         {"kind": "mystery", "key": 1},
@@ -177,7 +175,6 @@ def test_json_refuses_keys_that_are_not_ints(obj):
 def test_json_refuses_eq_yes_sides_other_than_their_own_leaf(yes):
     with pytest.raises(ParseError):
         from_json({"kind": "eq", "key": 2, "yes": yes, "no": leaf(1)})
-    assert from_json({"kind": "eq", "key": 2, "yes": leaf(2), "no": leaf(1)}) == EqNode(2, Leaf(2), Leaf(1))
 
 
 def test_dot_output_mentions_every_key():
